@@ -20,7 +20,12 @@ skipped without so much as a method call, and completely empty cycles take
 an *idle fast path* — batched into whole idle spans via the traffic
 source's :meth:`TrafficSource.next_injection_cycle` hint (a full protocol
 member since PR 9; the conservative default returns ``cycle`` and simply
-disables span batching).
+disables span batching).  The loop leaps exactly as far as the hint says
+and keeps no lookahead of its own: a sparse Bernoulli
+:class:`~repro.traffic.generator.TrafficGenerator` answers with its true
+next arrival, so near-idle traffic collapses into spans here just as
+windowed, traced and quiescent sources always did; only dense or bursty
+processes still answer "maybe now" and are stepped cycle by cycle.
 
 Two model toggles bound the behaviour for equivalence testing:
 ``model.activity_tracking = False`` restores the naive scan-everything

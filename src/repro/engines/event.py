@@ -33,9 +33,10 @@ The payoff over the cycle engine's idle-span batching: the cycle engine can
 only leap when the network is completely empty, while the calendar also
 leaps **gated spans** — a powersave mesh (divider 4) holding parked flits
 between bursts executes one cycle in four instead of checking all four.
-Under dense traffic (a Bernoulli source can inject every cycle) the
-calendar degenerates to per-cycle stepping, exactly like any event-driven
-NoC simulator at saturation.
+Under dense traffic (a Bernoulli source likely to inject every cycle
+answers the hint with "now") the calendar degenerates to per-cycle
+stepping, exactly like any event-driven NoC simulator at saturation; a
+sparse one schedules a single injection event at its true next arrival.
 
 Telemetry is bit-identical to the cycle engine by construction: an executed
 cycle runs the same model phases in the same order, and every skipped cycle

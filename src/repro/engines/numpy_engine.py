@@ -5,8 +5,9 @@ phases, same idle/gated fast paths, byte-identical telemetry — but instead
 of asking the traffic source for packets one cycle at a time it pre-samples
 whole blocks through :meth:`TrafficSource.sample_block`.  For a Bernoulli
 process over an RNG-free pattern that is one ``numpy`` call per block (the
-625-word Mersenne-Twister state crosses into ``np.random.RandomState`` and
-back, so the stream is bit-identical to sequential ``rng.random()`` calls);
+Mersenne-Twister state is mirrored into ``np.random.RandomState`` and the
+source RNG then advanced by the same number of draws, so the stream is
+bit-identical to sequential ``rng.random()`` calls);
 sources that cannot block-sample decline per span and the engine falls back
 to the reference per-cycle ``generate`` path for exactly that span.
 
@@ -14,10 +15,12 @@ Two structural wins over the cycle engine:
 
 * **no per-cycle generate calls** in sampled spans — the Python-level
   per-node injection loop collapses into one vectorised comparison; and
-* **exact idle leaps** — a sampled block knows the *true* next injection
-  cycle, so empty-network spans collapse even under an active in-window
-  Bernoulli source, where the conservative ``next_injection_cycle`` hint
-  degenerates to "maybe now" and the cycle engine must step every cycle.
+* **exact idle leaps inside a block** — a sampled block knows the *true*
+  next injection cycle, so empty-network spans collapse even under a
+  Bernoulli source too dense for the generator's own lookahead (sparse
+  ones hand every engine their true next arrival through
+  ``next_injection_cycle``, and their committed quiet spans come back from
+  ``sample_block`` as covered-and-empty without a draw).
 
 Blocks never outrun the advance horizon: at every ``_advance`` return the
 source RNG sits exactly where per-cycle execution would have left it, so

@@ -404,10 +404,18 @@ class Subtrial:
             ]
             blob = json.dumps(["batch", members], sort_keys=True)
             return hashlib.sha1(blob.encode()).hexdigest()
-        reduced = {key: value for key, value in self.params.items() if key != "agent"}
+        # An eval's ``agent`` is a weights payload, hashed by fingerprint; a
+        # train-eval's is the agent *kind* string, plain data like the rest.
+        agent = self.params.get("agent")
+        weights = agent if isinstance(agent, Mapping) else None
+        reduced = {
+            key: value
+            for key, value in self.params.items()
+            if key != "agent" or isinstance(value, str)
+        }
         blob = json.dumps([self.kind, reduced], sort_keys=True, default=str)
         return hashlib.sha1(
-            (blob + "|" + _agent_fingerprint(self.params.get("agent"))).encode()
+            (blob + "|" + _agent_fingerprint(weights)).encode()
         ).hexdigest()
 
     def to_wire(self) -> list:

@@ -69,6 +69,15 @@ class TrafficSource(Protocol):
         as now", the conservative answer that disables idle-span batching
         but never drops traffic.  (A default of ``None`` would claim the
         source is silent forever and make engines skip its packets.)
+
+        Engines query freely — the event engine asks again for the same
+        ``cycle`` on every re-entry, and an engine with flits in flight
+        keeps calling ``generate`` inside a span it was told is quiet — so
+        any lookahead behind the answer is the source's own state: repeated
+        queries must agree, and a ``generate`` call inside ``[cycle,
+        returned)`` must return nothing and leave the source as the skipped
+        call would have (see :class:`~repro.traffic.generator.TrafficGenerator`,
+        whose sparse Bernoulli lookahead is the reference implementation).
         """
         return cycle
 

@@ -15,7 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.noc.dvfs import OperatingPoint
+
+#: Below this many scalar adds a multi-cycle leakage replay stays in the
+#: Python loop; above it the sequential ufunc wins.
+_REPLAY_MIN_ADDS = 512
+
+#: Longest ``np.add.accumulate`` input, in elements: bounds the tiled buffer
+#: and each running-sum output at 64 KiB however long the span.
+_REPLAY_CHUNK_ADDS = 8_192
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,12 @@ class PowerModel:
     # from equality/repr: the memo is an implementation detail, not state.
     _scale_point: OperatingPoint | None = field(default=None, compare=False, repr=False)
     _scale_value: float = field(default=0.0, compare=False, repr=False)
+    # Long-span leakage replay (see accrue_leakage_increments): the increment
+    # list the buffers were tiled from, by identity — the model builds a new
+    # list whenever an operating point changes — and ``[slot, *increments
+    # repeated]``.
+    _replay_source: list[float] | None = field(default=None, compare=False, repr=False)
+    _replay_terms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     # -- scaling helpers ---------------------------------------------------
 
@@ -192,11 +208,34 @@ class PowerModel:
         front would not be.  The simulator's activity-tracked engine routes
         both its busy-cycle overheads and its idle-span batching through
         this method.
+
+        Long spans run the same chain of adds through ``np.add.accumulate``
+        — a strictly sequential running sum, ``out[i] = out[i-1] + in[i]``,
+        unlike the pairwise ``np.sum`` — seeded with the current total in
+        slot 0, so the last element is bit-for-bit what the loop produces.
+        Single-cycle calls — every busy cycle makes one — stay in the loop
+        whatever the mesh size, so a loaded network never builds the buffers.
         """
         leakage = self.energy.leakage_pj
-        for _ in range(cycles):
-            for increment in increments:
-                leakage += increment
+        per_cycle = len(increments)
+        if cycles == 1 or cycles * per_cycle < _REPLAY_MIN_ADDS:
+            for _ in range(cycles):
+                for increment in increments:
+                    leakage += increment
+            self.energy.leakage_pj = leakage
+            return
+        chunk_cycles = max(1, _REPLAY_CHUNK_ADDS // per_cycle)
+        if increments is not self._replay_source:
+            terms = np.empty(1 + chunk_cycles * per_cycle)
+            terms[1:] = np.tile(increments, chunk_cycles)
+            self._replay_source = increments
+            self._replay_terms = terms
+        terms = self._replay_terms
+        while cycles:
+            take = min(cycles, chunk_cycles)
+            terms[0] = leakage
+            leakage = float(np.add.accumulate(terms[: 1 + take * per_cycle])[-1])
+            cycles -= take
         self.energy.leakage_pj = leakage
 
     # -- reporting ---------------------------------------------------------------

@@ -126,11 +126,27 @@ class PhasedWorkload:
                 return index
         return None  # pragma: no cover - unreachable
 
-    def generate(self, cycle: int) -> list[Packet]:
+    def _locate(self, cycle: int) -> tuple[int, int] | None:
+        """``(phase index, end of that phase occurrence)`` at ``cycle``, or
+        ``None`` once a non-repeating workload has finished.
+
+        Phase generators are reused every pass over the phase list, each
+        continuing its own RNG stream, so nothing delegated below may
+        consume draws past ``phase_end``: it bounds every block sample and
+        every lookahead scan.
+        """
         index = self.phase_index_at(cycle)
         if index is None:
+            return None
+        position = cycle % self._total_cycles if cycle >= self._total_cycles else cycle
+        return index, cycle + (self._phase_ends[index] - position)
+
+    def generate(self, cycle: int) -> list[Packet]:
+        located = self._locate(cycle)
+        if located is None:
             return []
-        return self._generators[index].generate(cycle)
+        index, phase_end = located
+        return self._generators[index].generate(cycle, phase_end)
 
     def next_injection_cycle(self, cycle: int) -> int | None:
         """Earliest cycle ``>= cycle`` at which a packet may be created.
@@ -138,15 +154,15 @@ class PhasedWorkload:
         Delegates to the generator of the phase active at ``cycle`` and
         never looks past the end of that phase occurrence (the next phase
         may inject immediately), so the simulator's idle-span batching only
-        ever skips ``generate`` calls that would have gone to the current —
-        necessarily quiescent — phase generator.
+        ever skips ``generate`` calls that would have gone to the current
+        phase generator — quiescent, or sparse enough to know its next
+        arrival.
         """
-        index = self.phase_index_at(cycle)
-        if index is None:
+        located = self._locate(cycle)
+        if located is None:
             return None
-        position = cycle % self._total_cycles if cycle >= self._total_cycles else cycle
-        phase_end = cycle + (self._phase_ends[index] - position)
-        hint = self._generators[index].next_injection_cycle(cycle)
+        index, phase_end = located
+        hint = self._generators[index].next_injection_cycle(cycle, phase_end)
         if hint is not None and hint < phase_end:
             return max(hint, cycle)
         return phase_end
@@ -161,12 +177,11 @@ class PhasedWorkload:
         crosses a phase boundary (the next phase has its own generator and
         RNG stream); the caller simply samples the next block there.
         """
-        index = self.phase_index_at(start)
-        if index is None:
+        located = self._locate(start)
+        if located is None:
             # Finished non-repeating workload: silent forever, no draws.
             return (horizon, {})
-        position = start % self._total_cycles if start >= self._total_cycles else start
-        phase_end = start + (self._phase_ends[index] - position)
+        index, phase_end = located
         return self._generators[index].sample_block(start, min(horizon, phase_end))
 
     def flow_profile(self, cycle: int) -> FlowProfile | None:
@@ -177,15 +192,14 @@ class PhasedWorkload:
         next phase has its own pattern and rate), mirroring how
         ``sample_block`` never crosses a phase boundary.
         """
-        index = self.phase_index_at(cycle)
-        if index is None:
+        located = self._locate(cycle)
+        if located is None:
             # Finished non-repeating workload: silent forever.
             return FlowProfile((), None, 1)
+        index, phase_end = located
         profile = self._generators[index].flow_profile(cycle)
         if profile is None:
             return None
-        position = cycle % self._total_cycles if cycle >= self._total_cycles else cycle
-        phase_end = cycle + (self._phase_ends[index] - position)
         until = phase_end if profile.until is None else min(profile.until, phase_end)
         return FlowProfile(profile.flows, until, profile.packet_size)
 

@@ -16,22 +16,17 @@ except ImportError:  # pragma: no cover - numpy ships with the package deps
     np = None  # type: ignore[assignment]
 
 
-def _draw_uniform_block(rng: random.Random, count: int) -> "np.ndarray":
-    """Draw ``count`` uniforms from ``rng`` in one vectorised numpy call.
+#: Uniform draws per lookahead block (see :meth:`TrafficGenerator._scan`).  A
+#: source takes the lookahead when it expects at most one arrival per block
+#: (``probability * block <= 1``): there a scan saves many times its cost in
+#: per-node loops, while a denser source sees arrivals every few cycles and
+#: a scan per arrival buys little or nothing over the loop it replaces.
+_LOOKAHEAD_BLOCK_DRAWS = 4096
 
-    numpy's legacy ``RandomState`` shares CPython's Mersenne-Twister core
-    and its 53-bit double recipe, so transplanting the 625-word state makes
-    ``random_sample(count)`` bit-identical to ``count`` sequential
-    ``rng.random()`` calls; the advanced state is transplanted back, leaving
-    ``rng`` exactly where the sequential calls would have left it.
-    """
-    version, internal, gauss = rng.getstate()
-    state = np.random.RandomState()
-    state.set_state(("MT19937", np.array(internal[:624], dtype=np.uint32), internal[624]))
-    block = state.random_sample(count)
-    _, keys, pos, _, _ = state.get_state(legacy=True)
-    rng.setstate((version, tuple(int(word) for word in keys) + (int(pos),), gauss))
-    return block
+#: Longest span one lookahead scan covers, in cycles; a scan that finds no
+#: arrival reports its edge as a conservative hint and the next one resumes
+#: there.
+_LOOKAHEAD_SCAN_CYCLES = 4096
 
 
 #: Per-pair flow expansion cap for :meth:`TrafficGenerator.flow_profile`.
@@ -76,6 +71,16 @@ class TrafficGenerator:
         Seed for the generator's private RNG (independent of the simulator's).
     start_cycle / end_cycle:
         Optional activity window; outside it no packets are created.
+
+    A plain :class:`BernoulliInjection` sparse enough to expect at most one
+    arrival per :data:`_LOOKAHEAD_BLOCK_DRAWS` draws runs with a
+    *stream-exact lookahead*: the source scans its own RNG stream ahead for
+    the next arrival, so ``next_injection_cycle`` reports the true next
+    arrival and ``generate`` is O(1) on packet-free cycles, while packets
+    and the RNG stay bit-identical to drawing every node on every cycle.
+    The lookahead assumes what every engine does — cycles are visited in
+    order, each one either generated or skipped under the hint; a caller
+    that rewinds simply gets fresh draws.
     """
 
     def __init__(
@@ -98,6 +103,25 @@ class TrafficGenerator:
         self.end_cycle = end_cycle
         self._rng = random.Random(seed)
         self._static_destinations: list[int] | None = None
+        # Stream-exact lookahead (see _scan).  ``_leap`` is the per-draw
+        # arrival probability when the source takes the lookahead and 0.0
+        # when it does not — decided once, so dense sources pay a single
+        # attribute test per generate().  Cycles in ``[_quiet_from,
+        # _quiet_until)`` are known packet-free and their draws are already
+        # consumed; ``_hit_cycle`` is the arrival the last scan stopped at
+        # (``_rng`` then sits at its node 0), or -1 when it found none.
+        probability = (
+            injection.packet_probability
+            if np is not None and type(injection) is BernoulliInjection
+            else 0.0
+        )
+        self._leap = (
+            probability if 0.0 < probability * _LOOKAHEAD_BLOCK_DRAWS <= 1.0 else 0.0
+        )
+        self._quiet_from = 0
+        self._quiet_until = 0
+        self._hit_cycle = -1
+        self._scratch: "np.random.RandomState | None" = None
 
     @classmethod
     def from_names(
@@ -114,12 +138,27 @@ class TrafficGenerator:
         injection = BernoulliInjection(rate_flits_per_node_cycle, packet_size)
         return cls(topology, pattern, injection, packet_size=packet_size, seed=seed)
 
-    def generate(self, cycle: int) -> list[Packet]:
-        """Packets created at ``cycle`` (self-directed destinations are skipped)."""
+    def generate(self, cycle: int, _limit: int | None = None) -> list[Packet]:
+        """Packets created at ``cycle`` (self-directed destinations are skipped).
+
+        A sparse Bernoulli source answers packet-free cycles from its
+        lookahead (:meth:`_scan`) without entering the per-node loop; the
+        cycle a packet appears on always runs the loop below, which stays
+        the single place a packet is created.  ``_limit`` is private to
+        :class:`~repro.traffic.application.PhasedWorkload`: the end of the
+        current phase occurrence, past which a scan must not consume draws.
+        """
         if cycle < self.start_cycle:
             return []
         if self.end_cycle is not None and cycle >= self.end_cycle:
             return []
+        if self._leap:
+            if self._quiet_from <= cycle < self._quiet_until:
+                return []
+            if cycle != self._hit_cycle:
+                self._scan(cycle, _limit)
+                if cycle != self._hit_cycle:
+                    return []
         packets = []
         # Bound-method hoists: this loop runs once per node per simulated
         # cycle.  The per-node RNG draw order (injection first, then the
@@ -145,16 +184,22 @@ class TrafficGenerator:
             )
         return packets
 
-    def next_injection_cycle(self, cycle: int) -> int | None:
+    def next_injection_cycle(self, cycle: int, _limit: int | None = None) -> int | None:
         """Earliest cycle ``>= cycle`` at which a packet may be created.
 
         Implements the :class:`~repro.noc.network.TrafficSource` idle-span
         hint: before ``start_cycle`` no packets (and no RNG draws) happen, a
         quiescent injection process can never produce an observable packet,
         and past ``end_cycle`` the source is silent forever — so skipping
-        ``generate`` calls over the reported gap is unobservable.  An active
-        in-window Bernoulli/bursty process draws RNG every cycle, so the
-        hint degenerates to ``cycle`` (no skip).
+        ``generate`` calls over the reported gap is unobservable.  A sparse
+        in-window Bernoulli source (at most one expected arrival per
+        :data:`_LOOKAHEAD_BLOCK_DRAWS` draws) answers with its *true* next
+        arrival, found by :meth:`_scan` — or with the scan's edge, a
+        conservative hint, when the arrival lies further out than one scan
+        looks.  Repeated queries inside the known-quiet span are answered
+        from the remembered result and draw nothing.  Dense Bernoulli and
+        bursty processes draw RNG every cycle with an arrival likely on
+        each, so for them the hint stays ``cycle`` (no skip).
         """
         if self.end_cycle is not None and cycle >= self.end_cycle:
             return None
@@ -162,7 +207,85 @@ class TrafficGenerator:
             return None
         if cycle < self.start_cycle:
             return self.start_cycle
-        return cycle
+        if not self._leap or cycle == self._hit_cycle:
+            return cycle
+        if not self._quiet_from <= cycle < self._quiet_until:
+            self._scan(cycle, _limit)
+        return self._quiet_until
+
+    def _mirror_stream(self) -> "np.random.RandomState":
+        """The scratch numpy stream, positioned where ``_rng`` is now.
+
+        numpy's legacy ``RandomState`` shares CPython's Mersenne-Twister core
+        and its 53-bit double recipe, so after transplanting the 624-word
+        state ``random_sample(n)`` is bit-identical to ``n`` sequential
+        ``_rng.random()`` calls.  The scratch object is built on first use:
+        constructing one costs more than a scan, and ``numpy.random`` is an
+        import dense workloads never need.
+        """
+        scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = np.random.RandomState(0)
+        internal = self._rng.getstate()[1]
+        scratch.set_state(
+            {
+                "bit_generator": "MT19937",
+                # The plain tuple: the setter indexes it word by word, which
+                # an ndarray makes ten times slower.
+                "state": {"key": internal[:624], "pos": internal[624]},
+            }
+        )
+        return scratch
+
+    def _consume_draws(self, draws: int) -> None:
+        """Leave ``_rng`` where ``draws`` calls of ``random()`` would have.
+
+        One ``random()`` is two 32-bit words and ``getrandbits(32 * k)`` is
+        exactly ``k`` words; a block at a time keeps the throwaway integers
+        small.
+        """
+        getrandbits = self._rng.getrandbits
+        while draws > 0:
+            getrandbits(64 * min(draws, _LOOKAHEAD_BLOCK_DRAWS))
+            draws -= _LOOKAHEAD_BLOCK_DRAWS
+
+    def _scan(self, cycle: int, limit: int | None) -> None:
+        """Look ahead from ``cycle`` for the next arrival, stream-exactly.
+
+        Precondition: ``_rng`` sits at node 0 of ``cycle`` (every earlier
+        in-window cycle was generated or skipped under the hint).  The scan
+        draws cycle-aligned blocks of uniforms on the mirrored stream until
+        one falls under the arrival probability, never looking past
+        ``limit``, ``end_cycle`` or :data:`_LOOKAHEAD_SCAN_CYCLES`.  It then
+        commits to ``_rng`` exactly the draws of the whole packet-free
+        cycles before the arrival's cycle — nothing of that cycle itself,
+        whose injection *and* destination draws the per-node loop in
+        :meth:`generate` makes from the very state per-cycle execution
+        would have reached.
+        """
+        edge = cycle + _LOOKAHEAD_SCAN_CYCLES
+        if limit is not None and limit < edge:
+            edge = limit
+        if self.end_cycle is not None and self.end_cycle < edge:
+            edge = self.end_cycle
+        num_nodes = self.topology.num_nodes
+        block_cycles = max(1, _LOOKAHEAD_BLOCK_DRAWS // num_nodes)
+        probability = self._leap
+        stream = self._mirror_stream()
+        hit_cycle = -1
+        at = cycle
+        while at < edge:
+            span = min(block_cycles, edge - at)
+            hits = np.flatnonzero(stream.random_sample(span * num_nodes) < probability)
+            if hits.size:
+                hit_cycle = at + int(hits[0]) // num_nodes
+                break
+            at += span
+        quiet_until = hit_cycle if hit_cycle >= 0 else edge
+        self._consume_draws((quiet_until - cycle) * num_nodes)
+        self._quiet_from = cycle
+        self._quiet_until = quiet_until
+        self._hit_cycle = hit_cycle
 
     def sample_block(
         self, start: int, horizon: int
@@ -178,7 +301,8 @@ class TrafficGenerator:
         declines with ``(horizon, None)`` so the caller falls back to
         per-cycle ``generate`` over the same span (identical stream either
         way).  Window edges mirror ``generate``: before ``start_cycle`` and
-        past ``end_cycle`` the source is silent and draws nothing.
+        past ``end_cycle`` the source is silent and draws nothing — and so
+        is the span a lookahead scan already consumed (``_quiet_until``).
         """
         if horizon <= start:  # defensive: callers always pass horizon > start
             return (start + 1, None)
@@ -187,6 +311,8 @@ class TrafficGenerator:
         if start < self.start_cycle:
             # Silent lead-in: generate() returns [] without touching the RNG.
             return (min(self.start_cycle, horizon), {})
+        if self._leap and self._quiet_from <= start < self._quiet_until:
+            return (min(self._quiet_until, horizon), {})
         injection = self.injection
         if (
             np is None
@@ -207,7 +333,9 @@ class TrafficGenerator:
             ]
         destinations = self._static_destinations
         num_nodes = len(nodes)
-        block = _draw_uniform_block(self._rng, (until - start) * num_nodes)
+        draws = (until - start) * num_nodes
+        block = self._mirror_stream().random_sample(draws)
+        self._consume_draws(draws)
         hits = np.flatnonzero(block < injection.packet_probability)
         packets_by_cycle: dict[int, list[Packet]] = {}
         packet_size = self.packet_size

@@ -167,6 +167,50 @@ class TestEventEngine:
         assert elapsed >= 0
 
 
+def _sparse_simulator(engine: str, pattern: str, *, lookahead: bool = True):
+    """8x8 at the slowest DVFS level under traffic sparse enough to leap."""
+    simulator = NoCSimulator(SimulatorConfig(width=8, seed=4, engine=engine))
+    simulator.set_global_dvfs_level(3)
+    simulator.traffic = TrafficGenerator.from_names(
+        simulator.topology, pattern, 0.0004, packet_size=4, seed=4
+    )
+    if not lookahead:
+        simulator.traffic._leap = 0.0
+    return simulator
+
+
+class TestSparseBernoulliLeap:
+    """The source's lookahead turns sparse Bernoulli traffic into idle spans
+    on every exact engine, with telemetry identical to per-cycle sampling."""
+
+    @pytest.mark.parametrize("pattern", ["uniform", "transpose"])
+    def test_exact_engines_agree_with_per_cycle_sampling(self, pattern):
+        reference = _sparse_simulator("cycle", pattern, lookahead=False)
+        expected = [reference.run_epoch(1500).as_dict() for _ in range(4)]
+        assert reference.stats.packets_created > 10
+        for engine in ("cycle", "event", "numpy"):
+            simulator = _sparse_simulator(engine, pattern)
+            telemetry = [simulator.run_epoch(1500).as_dict() for _ in range(4)]
+            assert telemetry == expected, engine
+            assert simulator.stats.snapshot() == reference.stats.snapshot(), engine
+            assert simulator.power.energy.as_dict() == reference.power.energy.as_dict()
+            assert simulator.idle_cycles == reference.idle_cycles > 3000, engine
+            assert simulator.skipped_router_steps == reference.skipped_router_steps
+
+    def test_idle_spans_cost_one_generate_call_per_arrival(self):
+        simulator = _sparse_simulator("cycle", "uniform")
+        traffic = simulator.traffic
+        calls = []
+        generate = traffic.generate
+        traffic.generate = lambda cycle: calls.append(cycle) or generate(cycle)
+        simulator.run(6000)
+        # Per-cycle sampling made 6000 calls.  Now every non-idle cycle makes
+        # one and every idle span, however long, makes one more.
+        idle_spans = len(calls) - (6000 - simulator.idle_cycles)
+        assert simulator.idle_cycles > 3000
+        assert 0 < idle_spans <= 2 * simulator.stats.packets_created
+
+
 class TestScenarioRegistryEquivalence:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_event_engine_matches_cycle_engine_exactly(self, name):

@@ -8,12 +8,14 @@ import pytest
 
 from repro.exp import suites
 from repro.exp.chaos import ChaosPolicy, ChaosRule
+from repro.exp.execution import ExecutionConfig
 from repro.exp.runner import TrialExecutionError
 from repro.exp.scenarios import scenario_names
 from repro.exp.suites import (
     SuiteJournal,
     SuiteSpec,
     SuiteUnit,
+    Subtrial,
     derive_smoke_suite,
     get_suite,
     paper_suites,
@@ -434,6 +436,26 @@ class TestSubtrialKey:
         assert subtrial_key(("eval", {"rates": [0.05], "seed": 0})) != base
         assert subtrial_key(("sweep", {"rates": [0.05], "seed": 1})) != base
 
+    def test_agent_kind_string_is_hashed_as_plain_data(self):
+        # A train-eval subtrial names its agent *kind*; only an eval's
+        # weights payload (a mapping) goes through the fingerprint.
+        dqn = Subtrial("train-eval", {"agent": "dqn", "episodes": 2, "seed": 3})
+        tabular = Subtrial("train-eval", {"agent": "tabular-q", "episodes": 2, "seed": 3})
+        assert dqn.key == Subtrial("train-eval", dict(dqn.params)).key
+        assert dqn.key != tabular.key
+
+    def test_agent_weights_payload_is_fingerprinted(self):
+        params = {"policy": "drl", "seed": 0}
+        weights = {"dqn_config": {"hidden": 8}, "state": {"w": [1.0, 2.0]}}
+        other = {"dqn_config": {"hidden": 8}, "state": {"w": [1.0, 2.5]}}
+        bare = Subtrial("eval", params).key
+        assert Subtrial("eval", {**params, "agent": None}).key == bare
+        assert Subtrial("eval", {**params, "agent": weights}).key != bare
+        assert (
+            Subtrial("eval", {**params, "agent": weights}).key
+            != Subtrial("eval", {**params, "agent": other}).key
+        )
+
 
 class TestSuiteJournal:
     def test_append_and_load_round_trip(self, tmp_path):
@@ -479,6 +501,21 @@ class TestResumableSuites:
         assert clean.resumed_subtrials == 0
         assert rows[0]["journal"]["suite"] == "fig1-smoke"
         assert resumed.resumed_subtrials == len([row for row in rows if "key" in row])
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), resumed.deterministic_payload()
+        ) == []
+
+    def test_journaled_table3_smoke_runs_and_resumes(self, tmp_path):
+        # table3's ablation units are train-eval subtrials, whose ``agent``
+        # is a kind string: journaling one used to die in Subtrial.key.
+        config = ExecutionConfig(jobs=1)
+        clean = run_suite("table3-smoke", config=config, out_dir=tmp_path)
+        journal_path = tmp_path / "table3-smoke.journal.jsonl"
+        rows = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        keyed = [row for row in rows if "key" in row]
+        assert {row["kind"] for row in keyed} >= {"train-eval", "eval"}
+        resumed = run_suite("table3-smoke", config=config, out_dir=tmp_path, resume=True)
+        assert resumed.resumed_subtrials == len(keyed)
         assert suites.diff_payloads(
             clean.deterministic_payload(), resumed.deterministic_payload()
         ) == []

@@ -104,9 +104,12 @@ class TestConservationLaws:
         simulator.run(1000)
         simulator.drain(5000)
         stats = simulator.stats
-        # Minimum possible latency is hops + serialization.
-        assert stats.average_network_latency >= stats.average_hops + simulator.config.packet_size - 1
-        assert stats.average_total_latency >= stats.average_network_latency
+        # Minimum possible latency is hops + serialization; compared as
+        # integer sums because the bound is tight at zero contention.
+        assert stats.network_latency_sum >= stats.hop_sum + stats.packets_delivered * (
+            simulator.config.packet_size - 1
+        )
+        assert stats.total_latency_sum >= stats.network_latency_sum
 
     def test_in_flight_accounting(self):
         simulator = make_simulator(rate=0.3, seed=5)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.noc.dvfs import DVFS_LEVELS_DEFAULT, OperatingPoint
+from repro.noc.model import NoCModel, SimulatorConfig
 from repro.noc.power import EnergyBreakdown, PowerModel, PowerParameters
 
 NOMINAL = DVFS_LEVELS_DEFAULT[0]
@@ -115,6 +116,44 @@ class TestBatchedAccrual:
         batched = PowerModel()
         batched.accrue_leakage_increments(increments, cycles=7)
         assert batched.energy.leakage_pj == reference.energy.leakage_pj
+
+    @staticmethod
+    def _mesh_increments(width):
+        """A real model's leakage schedule with every DVFS level present."""
+        model = NoCModel(SimulatorConfig(width=width))
+        for node in range(width * width):
+            model.set_dvfs_level(node, (node * 7 + node // width) % len(DVFS_LEVELS_DEFAULT))
+        return model._cycle_leakage_increments()
+
+    @pytest.mark.parametrize("width", [4, 8, 16])
+    def test_long_span_replay_matches_the_python_loop_bitwise(self, width):
+        # Spans from one cycle (the Python loop) through the switch to the
+        # sequential ufunc and past its chunk size, each from the same odd
+        # starting total: the float must be the loop's, bit for bit.
+        increments = self._mesh_increments(width)
+        start = 12345.678901234567
+        after = []  # after[k]: the loop's total once k + 1 cycles are added
+        total = start
+        for _ in range(5000):
+            for increment in increments:
+                total += increment
+            after.append(total)
+        model = PowerModel()
+        for span in [*range(1, 66), *range(66, 5000, 89), 4999, 5000]:
+            model.energy.leakage_pj = start
+            model.accrue_leakage_increments(increments, span)
+            assert model.energy.leakage_pj == after[span - 1], span
+
+    def test_replay_buffers_follow_the_increment_list(self):
+        # The model hands over a new list after every DVFS change; the tiled
+        # buffers must never outlive the list they were built from.
+        first, second = self._mesh_increments(4), self._mesh_increments(8)
+        model, reference = PowerModel(), PowerModel()
+        for increments in (first, second, first, list(first)):
+            model.accrue_leakage_increments(increments, 300)
+            for _ in range(300):
+                reference.accrue_leakage_increments(increments)
+            assert model.energy.leakage_pj == reference.energy.leakage_pj
 
     def test_fused_flit_traversal_matches_individual_events(self):
         reference = PowerModel()
