@@ -222,18 +222,9 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--engine",
         default=None,
-        help="simulation engine (cycle|event|numpy, or auto to pick the "
+        help="simulation engine (cycle|event, or auto to pick the "
         "measured best; see `engines list`; simulated results are "
         "engine-agnostic)",
-    )
-    group.add_argument(
-        "--batch",
-        type=_non_negative_int,
-        default=None,
-        metavar="N",
-        help="group up to N homogeneous subtrials into one stacked "
-        "batch-engine task (needs an engine with batch support, e.g. "
-        "--engine numpy; default 0 = off; results are identical either way)",
     )
     group.add_argument(
         "--timeout",
@@ -283,7 +274,6 @@ def execution_config_from_args(
         train_jobs=args.train_jobs or 1,
         engine=args.engine if engine is ... else engine,
         perf_repeats=perf_repeats,
-        batch=getattr(args, "batch", None) or 0,
         reuse_evals=reuse_evals,
         supervision=SupervisionPolicy(**supervision_knobs),
         chaos=chaos,
@@ -502,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="cycle",
         help="optimised engine to pit against the naive loop "
-        "(cycle|event|numpy; see `engines list`)",
+        "(cycle|event; see `engines list`)",
     )
 
     train = subparsers.add_parser(
@@ -1316,11 +1306,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def cmd_engines(args: argparse.Namespace) -> int:
     """``engines list``: every registry entry with its capability flags.
 
-    ``selectable`` engines are valid ``--engine`` values (plus ``auto``);
-    a ``batch``-capable engine lets ``--batch`` group subtrials onto the
-    stacked batch engine.  ``batch`` itself is registered unselectable —
-    it only makes sense as an explicit N-replica configuration, so neither
-    ``--engine`` nor the auto policy will ever pick it for a single sim.
+    ``selectable`` engines are valid ``--engine`` values (plus ``auto``).
     ``approximate`` engines synthesize telemetry instead of simulating it
     exactly; compare their artefacts with ``suite diff --approx``, never
     byte parity, and the auto policy never picks them either.
@@ -1331,7 +1317,6 @@ def cmd_engines(args: argparse.Namespace) -> int:
             "engine": info.name
             + (" (default)" if info.name == DEFAULT_ENGINE else ""),
             "selectable": "yes" if info.selectable else "no",
-            "batch": "yes" if info.supports_batch else "no",
             "approximate": "yes" if info.approximate else "no",
         }
         for info in engine_infos()
@@ -1339,7 +1324,6 @@ def cmd_engines(args: argparse.Namespace) -> int:
     print(format_table(rows, title="Registered engines"))
     print(
         f"--engine accepts: {', '.join(selectable_engine_names())}; "
-        "'batch: yes' engines power suite --batch dispatch; "
         "'approximate: yes' engines need suite diff --approx for comparison"
     )
     return 0

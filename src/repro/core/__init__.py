@@ -32,7 +32,6 @@ from repro.core.controller import (
     DRLControllerPolicy,
     EpochRecord,
     SelfConfigController,
-    run_controllers_lockstep,
 )
 from repro.core.environment import NoCConfigEnv
 from repro.core.features import FeatureExtractor
@@ -40,7 +39,6 @@ from repro.core.rewards import RewardSpec
 from repro.core.training import (
     TrainingResult,
     evaluate_controller,
-    evaluate_controller_batch,
     train_dqn_controller,
     train_tabular_controller,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "TrainingResult",
     "VcActionSpace",
     "evaluate_controller",
-    "evaluate_controller_batch",
     "make_action_space",
-    "run_controllers_lockstep",
     "train_dqn_controller",
     "train_tabular_controller",
 ]

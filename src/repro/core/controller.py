@@ -192,75 +192,3 @@ class SelfConfigController:
             )
         return trace
 
-
-def run_controllers_lockstep(
-    controllers: "list[SelfConfigController]",
-    num_epochs: int,
-    warmup_epochs: int = 1,
-) -> list[ControllerTrace]:
-    """Run N independent controllers in lockstep on one stacked batch engine.
-
-    Mirrors :meth:`SelfConfigController.run` replica by replica — same
-    warmup discipline, same per-epoch select/apply/advance/extract/reward
-    order — but every simulator advances through one
-    :class:`~repro.engines.batch.BatchEngine`, so the inner engines amortise
-    their per-advance work across the stack.  Replicas never interact: each
-    returned trace is byte-identical to running that controller alone.
-    Controllers must share ``epoch_cycles`` (lockstep needs one clock).
-    """
-    # Imported here: repro.engines is built on the noc layer this module's
-    # NoCSimulator import already pulls in, and the batch engine is only
-    # needed on this path.
-    from repro.engines.batch import BatchEngine
-
-    if not controllers:
-        return []
-    if num_epochs < 1:
-        raise ValueError("num_epochs must be positive")
-    if len({controller.epoch_cycles for controller in controllers}) != 1:
-        raise ValueError("lockstep controllers must share epoch_cycles")
-    epoch_cycles = controllers[0].epoch_cycles
-    batch = BatchEngine(
-        engines=[controller.simulator.engine for controller in controllers]
-    )
-    telemetries = None
-    for _ in range(max(warmup_epochs, 1)):
-        telemetries = batch.run_epoch_all(epoch_cycles)
-    assert telemetries is not None
-    observations = [
-        controller.feature_extractor.extract(telemetry)
-        for controller, telemetry in zip(controllers, telemetries)
-    ]
-
-    traces = [
-        ControllerTrace(policy_name=controller.policy.name)
-        for controller in controllers
-    ]
-    for epoch in range(num_epochs):
-        chosen = [
-            (
-                action_index := controller.policy.select_action(
-                    observation, telemetry
-                ),
-                controller.action_space.apply(controller.simulator, action_index),
-            )
-            for controller, observation, telemetry in zip(
-                controllers, observations, telemetries
-            )
-        ]
-        telemetries = batch.run_epoch_all(epoch_cycles)
-        observations = []
-        for controller, trace, (action_index, action), telemetry in zip(
-            controllers, traces, chosen, telemetries
-        ):
-            observations.append(controller.feature_extractor.extract(telemetry))
-            trace.append(
-                EpochRecord(
-                    epoch=epoch,
-                    action_index=action_index,
-                    action=action,
-                    telemetry=telemetry,
-                    reward=controller.reward_spec.compute(telemetry),
-                )
-            )
-    return traces

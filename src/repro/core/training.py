@@ -13,7 +13,6 @@ from repro.core.controller import (
     ControllerTrace,
     DRLControllerPolicy,
     SelfConfigController,
-    run_controllers_lockstep,
 )
 from repro.core.environment import NoCConfigEnv
 from repro.rl.agent import Transition
@@ -196,35 +195,3 @@ def evaluate_controller(
     )
     return controller.run(num_epochs or experiment.episode_epochs)
 
-
-def evaluate_controller_batch(
-    experiment: ExperimentConfig,
-    policies: "list[ControllerPolicy]",
-    num_epochs: int | None = None,
-    seed_offset: int = 10_000,
-) -> list[ControllerTrace]:
-    """Deploy N policies on N replica simulators advanced in lockstep.
-
-    Each policy gets its own fresh simulator built exactly as
-    :func:`evaluate_controller` builds one — same ``seed_offset``, so every
-    replica sees identical traffic — and the stack advances through one
-    :class:`~repro.engines.batch.BatchEngine`
-    (:func:`~repro.core.controller.run_controllers_lockstep`).  Each
-    returned trace is byte-identical to
-    ``evaluate_controller(experiment, policy)`` for that policy; only the
-    wall clock changes.
-    """
-    controllers = [
-        SelfConfigController(
-            simulator=experiment.build_simulator(seed_offset=seed_offset),
-            action_space=experiment.build_action_space(),
-            feature_extractor=experiment.build_feature_extractor(),
-            policy=policy,
-            reward_spec=experiment.reward,
-            epoch_cycles=experiment.epoch_cycles,
-        )
-        for policy in policies
-    ]
-    return run_controllers_lockstep(
-        controllers, num_epochs or experiment.episode_epochs
-    )

@@ -13,12 +13,6 @@ engines are telemetry-equivalent — statistics, energy floats and the
   pipeline events (rebuilt against the current divider table whenever a
   DVFS retune can have happened) that additionally leaps gated spans
   while flits are parked (the large-mesh scaling path);
-* ``numpy`` — :class:`NumpyEngine`, the cycle loop with block-sampled
-  injections (one vectorised RNG call per span) and exact idle leaps;
-* ``batch`` — :class:`BatchEngine`, N replica models advanced in lockstep
-  by one process (``selectable=False``: never offered for a single sim,
-  reachable as explicit configuration and through the suite engine's
-  batch-dispatch pass);
 * ``flow`` — :class:`FlowEngine`, the *approximate* flow-level
   fast-forward engine: max-min fair rate allocations advanced in single
   leaps between traffic/DVFS/fault discontinuities
@@ -40,41 +34,33 @@ from repro.engines.base import (
     engine_infos,
     engine_is_approximate,
     engine_names,
-    engine_supports_batch,
     get_engine_factory,
     register_engine,
     resolve_engine_name,
     selectable_engine_names,
     validate_engine_name,
 )
-from repro.engines.batch import BatchEngine
 from repro.engines.cycle import CycleEngine
 from repro.engines.event import EventEngine
 from repro.engines.flow import FlowEngine
-from repro.engines.numpy_engine import NumpyEngine
 
 register_engine("cycle", CycleEngine)
 register_engine("event", EventEngine)
-register_engine("numpy", NumpyEngine, supports_batch=True)
-register_engine("batch", BatchEngine, supports_batch=True, selectable=False)
 register_engine("flow", FlowEngine, approximate=True)
 
 __all__ = [
     "AUTO_ENGINE",
-    "BatchEngine",
     "CycleEngine",
     "DEFAULT_ENGINE",
     "Engine",
     "EngineInfo",
     "EventEngine",
     "FlowEngine",
-    "NumpyEngine",
     "build_engine",
     "engine_info",
     "engine_infos",
     "engine_is_approximate",
     "engine_names",
-    "engine_supports_batch",
     "get_engine_factory",
     "register_engine",
     "resolve_engine_name",

@@ -57,17 +57,13 @@ class Engine(Protocol):
 class EngineInfo:
     """Capability metadata the registry keeps alongside each factory.
 
-    ``supports_batch``
-        The engine can advance N stacked replicas in lockstep
-        (:meth:`repro.engines.batch.BatchEngine.run_batch`); the suite
-        engine's batch-dispatch pass only groups subtrials when the
-        resolved engine advertises this.
     ``selectable``
         The engine is a sensible choice for a *single* simulation and may
-        be offered by ``--engine`` / chosen by ``EnginePolicy``.  Batch-only
-        backends register with ``selectable=False``: they stay reachable as
-        explicit configuration (``SimulatorConfig(engine=...)`` builds a
-        batch of one) but are never auto-selected.
+        be offered by ``--engine`` / chosen by ``EnginePolicy``.  Internal
+        engines (an instrumented stepper, say) register with
+        ``selectable=False``: they stay reachable as explicit configuration
+        (``SimulatorConfig(engine=...)``) but are never offered or
+        auto-selected.
     ``approximate``
         The engine trades the byte-identical telemetry contract for speed:
         its statistics are synthesized from an analytical model rather than
@@ -78,7 +74,6 @@ class EngineInfo:
     """
 
     name: str
-    supports_batch: bool = False
     selectable: bool = True
     approximate: bool = False
 
@@ -91,7 +86,6 @@ def register_engine(
     name: str,
     factory: Callable[["NoCModel"], Engine],
     *,
-    supports_batch: bool = False,
     selectable: bool = True,
     approximate: bool = False,
     replace_existing: bool = False,
@@ -104,7 +98,6 @@ def register_engine(
     _REGISTRY[name] = factory
     _INFO[name] = EngineInfo(
         name=name,
-        supports_batch=supports_batch,
         selectable=selectable,
         approximate=approximate,
     )
@@ -123,11 +116,6 @@ def engine_info(name: str) -> EngineInfo:
 def engine_infos() -> tuple[EngineInfo, ...]:
     """Metadata for every registered engine, sorted by name."""
     return tuple(_INFO[name] for name in engine_names())
-
-
-def engine_supports_batch(name: str) -> bool:
-    """Whether the registry advertises lockstep replica batching for ``name``."""
-    return engine_info(name).supports_batch
 
 
 def engine_is_approximate(name: str) -> bool:
@@ -167,9 +155,7 @@ DEFAULT_ENGINE = "cycle"
 def selectable_engine_names() -> tuple[str, ...]:
     """Engine names an ``--engine`` flag accepts.
 
-    The registry's ``selectable`` engines plus ``auto`` — batch-only
-    backends are deliberately absent (a batch of one is never what a
-    single-sim flag means).
+    The registry's ``selectable`` engines plus ``auto``.
     """
     return tuple(info.name for info in engine_infos() if info.selectable) + (AUTO_ENGINE,)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping
 
 from repro.exp.chaos import ChaosPolicy
@@ -104,9 +104,6 @@ class ExecutionConfig:
     * ``engine`` — execution engine for every simulation (``None`` = keep
       each spec's own engine, defaulting to ``cycle``).
     * ``perf_repeats`` — wall-clock samples per subtrial; best kept.
-    * ``batch`` — max homogeneous subtrials grouped into one stacked
-      batch-engine task (0/1 = off; only takes effect when the resolved
-      engine's registry entry advertises ``supports_batch``).
     * ``reuse_evals`` — memoize completed eval subtrials process-wide.
     * ``supervision`` — the :class:`SupervisionPolicy` fault budget; the
       distributed service reuses ``timeout_s`` as its lease deadline and
@@ -123,7 +120,6 @@ class ExecutionConfig:
     train_jobs: int = 1
     engine: str | None = None
     perf_repeats: int = 1
-    batch: int = 0
     reuse_evals: bool = False
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     chaos: ChaosPolicy | None = None
@@ -135,8 +131,6 @@ class ExecutionConfig:
             raise ValueError("train_jobs must be at least 1")
         if self.perf_repeats < 1:
             raise ValueError("perf_repeats must be at least 1")
-        if self.batch < 0:
-            raise ValueError("batch must be non-negative (0 disables batching)")
 
     # -- derived views --------------------------------------------------------
 
@@ -148,11 +142,9 @@ class ExecutionConfig:
         """Hash of the *outcome-affecting* half of the config.
 
         Two runs whose fingerprints match produce byte-identical suite
-        payloads (the determinism contract): ``jobs``, ``batch`` (grouping
-        only changes how subtrials are shipped — journal rows stay
-        member-level), ``reuse_evals``, supervision and chaos only reorder
-        wall clock, so they are excluded; ``train_jobs`` (the sharded
-        trainer's RNG contract),
+        payloads (the determinism contract): ``jobs``, ``reuse_evals``,
+        supervision and chaos only reorder wall clock, so they are
+        excluded; ``train_jobs`` (the sharded trainer's RNG contract),
         ``engine`` (stamped into every subtrial/perf record) and
         ``perf_repeats`` (changes the expanded subtrial set) are what the
         journal header records and ``--resume`` refuses to mix.
@@ -175,7 +167,6 @@ class ExecutionConfig:
             "train_jobs": self.train_jobs,
             "engine": self.engine,
             "perf_repeats": self.perf_repeats,
-            "batch": self.batch,
             "reuse_evals": self.reuse_evals,
             "supervision": self.supervision.to_dict(),
             "chaos": self.chaos.to_dict() if self.chaos is not None else None,
@@ -183,7 +174,14 @@ class ExecutionConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExecutionConfig":
+        """Rebuild a config; an unknown key (a field this version no longer
+        has, say) is a ``ValueError`` naming it, not a bare ``TypeError``."""
         payload = dict(payload)
+        unknown = sorted(set(payload) - {item.name for item in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown ExecutionConfig field(s): {', '.join(unknown)}"
+            )
         supervision = payload.get("supervision")
         if isinstance(supervision, Mapping):
             payload["supervision"] = SupervisionPolicy.from_dict(supervision)

@@ -48,7 +48,6 @@ from repro.baselines import (
     static_min_energy,
 )
 from repro.core import ExperimentConfig, TrafficSpec, evaluate_controller
-from repro.core.training import evaluate_controller_batch
 from repro.core.controller import DRLControllerPolicy
 from repro.core.training import (
     TrainingResult,
@@ -62,7 +61,6 @@ from repro.exp.runner import SupervisedTrialPool, SupervisionPolicy, trial_seed
 from repro.exp.telemetry import NONDETERMINISTIC_FIELDS
 from repro.exp.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.exp.training import train_dqn_sharded
-from repro.engines import engine_supports_batch
 from repro.noc import SimulatorConfig
 from repro.rl.dqn import DQNAgent
 
@@ -346,11 +344,8 @@ def spec_sha1(spec: "SuiteSpec") -> str:
     return hashlib.sha1(spec.to_json().encode()).hexdigest()
 
 
-#: Subtrial kinds :func:`run_suite_subtrial` can execute.  The ``batch``
-#: kind is synthetic: it wraps homogeneous members of the other kinds for
-#: one :meth:`Engine.run_batch`-backed worker call (see
-#: :func:`group_subtrials`); units never expand into it directly.
-SUBTRIAL_KINDS = ("sweep", "scenario", "eval", "train-eval", "batch")
+#: Subtrial kinds :func:`run_suite_subtrial` can execute.
+SUBTRIAL_KINDS = ("sweep", "scenario", "eval", "train-eval")
 
 
 @dataclass(frozen=True)
@@ -359,10 +354,10 @@ class Subtrial:
 
     This is the typed form of the historical ``(kind, params)`` tuple that
     rides everywhere a subtrial travels — the pool path
-    (:func:`run_suite_subtrial`), the service's lease payload
-    (:meth:`to_wire`/:meth:`from_wire` frame the JSON shape) and the batch
-    grouper (:func:`group_subtrials`).  It still unpacks like the tuple
-    (``kind, params = subtrial``) so wire codecs stay one line, and the
+    (:func:`run_suite_subtrial`) and the service's lease payload
+    (:meth:`to_wire`/:meth:`from_wire` frame the JSON shape).  It still
+    unpacks like the tuple (``kind, params = subtrial``) so wire codecs
+    stay one line, and the
     public entry points accept the legacy tuple behind a
     :class:`DeprecationWarning` (:meth:`coerce`).
 
@@ -395,15 +390,6 @@ class Subtrial:
     @property
     def key(self) -> str:
         """Stable content address (see the class docstring)."""
-        if self.kind == "batch":
-            # Agent payloads hide inside the members, so hash member keys
-            # (which fingerprint them properly) rather than raw params.
-            members = [
-                Subtrial(kind, params).key
-                for kind, params in self.params.get("subtrials", ())
-            ]
-            blob = json.dumps(["batch", members], sort_keys=True)
-            return hashlib.sha1(blob.encode()).hexdigest()
         # An eval's ``agent`` is a weights payload, hashed by fingerprint; a
         # train-eval's is the agent *kind* string, plain data like the rest.
         agent = self.params.get("agent")
@@ -708,73 +694,11 @@ def _run_train_eval(params: Mapping) -> dict:
     }
 
 
-#: Eval params a stacked batch's members may differ in; everything else
-#: (traffic, width, epochs, engine) must match for replicas to share one
-#: lockstep clock and one experiment shape.
-_EVAL_BATCH_AXES = ("policy", "agent")
-
-
-def _stacked_eval_payloads(members: "list[Subtrial]") -> "list[dict] | None":
-    """Run homogeneous eval members as stacked replicas (None = ineligible).
-
-    Eligible members are all ``eval`` subtrials over the identical
-    experiment (params equal outside :data:`_EVAL_BATCH_AXES`): one replica
-    simulator per policy, advanced in lockstep through
-    :func:`repro.core.training.evaluate_controller_batch`.  Each returned
-    payload is byte-identical to :func:`_run_eval` on that member; only the
-    wall clock differs (the stacked elapsed time, split evenly).
-    """
-    if len(members) < 2 or any(member.kind != "eval" for member in members):
-        return None
-
-    def _shape(member: Subtrial) -> dict:
-        return {
-            key: value
-            for key, value in member.params.items()
-            if key not in _EVAL_BATCH_AXES
-        }
-
-    shape = _shape(members[0])
-    if any(_shape(member) != shape for member in members[1:]):
-        return None
-    params = members[0].params
-    experiment = build_experiment(params)
-    policies = [
-        build_policy(member.params["policy"], experiment, member.params.get("agent"))
-        for member in members
-    ]
-    num_epochs = params.get("num_epochs")
-    start = time.perf_counter()
-    traces = evaluate_controller_batch(
-        experiment, policies, num_epochs=int(num_epochs) if num_epochs else None
-    )
-    wall_s = (time.perf_counter() - start) / len(members)
-    return [_eval_payload(trace, wall_s) for trace in traces]
-
-
-def _run_batch(params: Mapping) -> dict:
-    """Execute one batch subtrial: member payloads, in member order.
-
-    Homogeneous eval members run stacked on one batch engine; anything
-    else (and any heterogeneity the grouper let through) falls back to the
-    members' own workers sequentially — the payloads are identical either
-    way, per the engine-parity contract.
-    """
-    members = [Subtrial(kind, member) for kind, member in params["subtrials"]]
-    if not members:
-        raise ValueError("a batch subtrial needs at least one member")
-    parts = _stacked_eval_payloads(members)
-    if parts is None:
-        parts = [_SUBTRIAL_WORKERS[member.kind](member.params) for member in members]
-    return {"batch": parts}
-
-
 _SUBTRIAL_WORKERS = {
     "sweep": _run_sweep_point,
     "scenario": _run_scenario_subtrial,
     "eval": _run_eval,
     "train-eval": _run_train_eval,
-    "batch": _run_batch,
 }
 
 
@@ -786,52 +710,6 @@ def run_suite_subtrial(subtrial: "Subtrial | tuple") -> dict:
     """
     subtrial = Subtrial.coerce(subtrial, caller="run_suite_subtrial")
     return _SUBTRIAL_WORKERS[subtrial.kind](subtrial.params)
-
-
-#: Param axes along which one batch group's members may differ, per kind.
-#: Everything else must match exactly — same engine, topology, cycle
-#: budget — so the group is shape-homogeneous.  ``train-eval`` is absent on
-#: purpose: training dominates its wall clock and does not stack.
-BATCH_GROUP_AXES = {
-    "sweep": ("rate", "seed"),
-    "scenario": ("seed",),
-    "eval": ("policy", "agent"),
-}
-
-
-def group_subtrials(
-    subtrials: "Sequence[Subtrial | tuple]", *, max_group: int = 8
-) -> list[list[int]]:
-    """Group homogeneous batchable subtrials for ``run_batch`` fan-out.
-
-    Returns index groups into ``subtrials``: every index appears exactly
-    once, groups are ordered by their first member and members keep their
-    original order, so ungrouping is a stable inverse.  Two subtrials share
-    a group when they have the same kind and identical params outside that
-    kind's :data:`BATCH_GROUP_AXES`; kinds with no batch axes become
-    singletons and a signature's group is chunked at ``max_group``.
-    """
-    if max_group < 1:
-        raise ValueError("max_group must be positive")
-    groups: list[list[int]] = []
-    open_by_signature: dict[str, list[int]] = {}
-    for index, subtrial in enumerate(subtrials):
-        subtrial = Subtrial.coerce(subtrial, caller="group_subtrials")
-        axes = BATCH_GROUP_AXES.get(subtrial.kind)
-        if axes is None:
-            groups.append([index])
-            continue
-        reduced = {
-            key: value for key, value in subtrial.params.items() if key not in axes
-        }
-        signature = json.dumps([subtrial.kind, reduced], sort_keys=True, default=str)
-        group = open_by_signature.get(signature)
-        if group is None or len(group) >= max_group:
-            group = []
-            groups.append(group)
-            open_by_signature[signature] = group
-        group.append(index)
-    return groups
 
 
 def unit_shape(params: Mapping) -> tuple[int, float | None]:
@@ -1017,15 +895,8 @@ def run_suite(
     acceptable.  With ``out_dir`` the outcome is also written to
     ``<out_dir>/<suite>.json`` in the shared artefact shape.
 
-    ``config.batch`` (with an engine whose registry entry advertises
-    ``supports_batch``, e.g. ``--engine numpy``) turns on batch dispatch:
-    homogeneous subtrials — same kind and params outside the kind's
-    :data:`BATCH_GROUP_AXES` — are grouped up to ``batch`` per task and
-    shipped as one synthetic ``batch`` subtrial, which the worker runs as
-    stacked replicas on a :class:`~repro.engines.batch.BatchEngine` where
-    possible.  Payloads, journal rows and memo entries stay member-level
-    and byte-identical to serial execution, so ``suite diff`` between any
-    batch settings (and against the ``cycle`` reference) exits 0.
+    Every expanded subtrial — a typed :class:`Subtrial` — is its own pool
+    task, journal row and memo entry.
 
     ``workers`` routes the whole run to a :mod:`repro.exp.service` broker
     (``"tcp://HOST:PORT"``): the spec and config ship over the wire, the
@@ -1167,68 +1038,25 @@ def run_suite(
         else:
             dispatch.append((position, cache_key, journal_key, subtrial))
 
-    # Batch dispatch (``config.batch``): group homogeneous subtrials and ship
-    # each group as one synthetic ``batch`` subtrial when the engine
-    # advertises ``supports_batch`` — the pool, the supervised pool and the
-    # fleet dispatcher all inherit the stacked fan-out without changes,
-    # because a group travels the exact same path a single subtrial does.
-    # Journal and memo keys stay member-level, so resume and eval reuse are
-    # batch-setting-agnostic (a run journaled at --batch 4 resumes at any
-    # other setting).
-    batching = config.batch > 1 and engine_supports_batch(engine_name)
-    if batching:
-        groups = group_subtrials(
-            [entry[3] for entry in dispatch], max_group=config.batch
-        )
-    else:
-        groups = [[index] for index in range(len(dispatch))]
-    tasks: list[tuple[list[int], Subtrial]] = []
-    for members in groups:
-        if len(members) == 1:
-            tasks.append((members, dispatch[members[0]][3]))
-        else:
-            wrapped = [dispatch[index][3].to_wire() for index in members]
-            tasks.append((members, Subtrial("batch", {"subtrials": wrapped})))
-
-    def _task_parts(task: Subtrial, members: list[int], payload: dict) -> list[dict]:
-        parts = payload["batch"] if task.kind == "batch" else [payload]
-        if len(parts) != len(members):  # defensive: a worker/wire bug
-            raise RuntimeError(
-                f"batch subtrial returned {len(parts)} payloads "
-                f"for {len(members)} members"
-            )
-        return parts
-
     def _on_task(task_index: int, payload: dict, attempts: int) -> None:
-        # Fires parent-side the moment a task's result lands (completion
-        # order): journal it immediately so a kill right after loses
-        # nothing.  A batch task journals each member under its own key.
-        members, task = tasks[task_index]
-        for dispatch_index, part in zip(members, _task_parts(task, members, payload)):
-            position, _, journal_key, _ = dispatch[dispatch_index]
-            attempts_by_position[position] = attempts
-            if journal is not None:
-                unit = spec.units[tagged[position][0]]
-                journal.append(
-                    journal_key,
-                    unit=unit.name,
-                    kind=unit.kind,
-                    attempts=attempts,
-                    payload=part,
-                )
+        # Fires parent-side the moment a subtrial's result lands (completion
+        # order): journal it immediately so a kill right after loses nothing.
+        position, _, journal_key, _ = dispatch[task_index]
+        attempts_by_position[position] = attempts
+        if journal is not None:
+            unit = spec.units[tagged[position][0]]
+            journal.append(
+                journal_key,
+                unit=unit.name,
+                kind=unit.kind,
+                attempts=attempts,
+                payload=payload,
+            )
 
-    # Chaos rules address subtrials by dispatch index or by this label; a
-    # batch task's label joins its member labels, so substring rules keep
-    # matching whatever the batch setting.
-    def _member_label(dispatch_index: int) -> str:
-        position = dispatch[dispatch_index][0]
-        return f"{spec.units[tagged[position][0]].name}[{position}]"
-
+    # Chaos rules address subtrials by dispatch index or by this label.
     labels = [
-        _member_label(members[0])
-        if task.kind != "batch"
-        else "batch[" + ",".join(_member_label(index) for index in members) + "]"
-        for members, task in tasks
+        f"{spec.units[tagged[position][0]].name}[{position}]"
+        for position, _, _, _ in dispatch
     ]
     # ``_dispatch`` is the fleet hook: the service broker substitutes its
     # lease-based dispatcher for the local pool, reusing everything else
@@ -1240,7 +1068,7 @@ def run_suite(
     try:
         results = executor.run(
             run_suite_subtrial,
-            [task for _, task in tasks],
+            [subtrial for _, _, _, subtrial in dispatch],
             labels=labels,
             on_result=_on_task,
         )
@@ -1251,20 +1079,15 @@ def run_suite(
         if journal is not None:
             journal.close()
     # Lease metadata (which worker ran what) — scheduling only, never part
-    # of outcomes; rides the telemetry rows as diff-ignored fields.  Every
-    # member of a batch task ran under that task's lease.
+    # of outcomes; rides the telemetry rows as diff-ignored fields.
     scheduling = dict(getattr(executor, "last_scheduling", ()) or {})
     scheduling_by_position = {
-        dispatch[dispatch_index][0]: meta
-        for task_index, meta in scheduling.items()
-        for dispatch_index in tasks[task_index][0]
+        dispatch[task_index][0]: meta for task_index, meta in scheduling.items()
     }
-    for (members, task), payload in zip(tasks, results):
-        for dispatch_index, part in zip(members, _task_parts(task, members, payload)):
-            position, cache_key, _, _ = dispatch[dispatch_index]
-            payloads[position] = part
-            if cache_key is not None:
-                _EVAL_CACHE[cache_key] = part
+    for (position, cache_key, _, _), payload in zip(dispatch, results):
+        payloads[position] = payload
+        if cache_key is not None:
+            _EVAL_CACHE[cache_key] = payload
 
     grouped: dict[tuple[int, int], list[dict]] = {}
     for position, ((index, repeat, _), payload) in enumerate(zip(tagged, payloads)):

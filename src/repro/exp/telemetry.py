@@ -689,10 +689,10 @@ class EnginePolicy:
         self.report = report
         self.default = default
         if engines is None:
-            # Selectable *exact* engines only: a batch-only backend is never
-            # a sensible auto choice for a single sim, and an approximate
-            # engine must be an explicit opt-in — its synthesized telemetry
-            # would silently replace exact results, however fast it is.
+            # Selectable *exact* engines only: an internal engine is never a
+            # sensible auto choice, and an approximate engine must be an
+            # explicit opt-in — its synthesized telemetry would silently
+            # replace exact results, however fast it is.
             engines = tuple(
                 info.name
                 for info in engine_infos()

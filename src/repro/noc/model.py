@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class TrafficSource(Protocol):
     """Anything that can hand the simulator new packets each cycle.
 
-    ``generate`` is required.  ``next_injection_cycle`` and ``sample_block``
+    ``generate`` is required.  ``next_injection_cycle`` and ``flow_profile``
     are full protocol members (engines call them directly, no ``getattr``
     probing); both carry default implementations here, so a source can
     subclass :class:`TrafficSource` and override only ``generate``.
@@ -80,28 +80,6 @@ class TrafficSource(Protocol):
         whose sparse Bernoulli lookahead is the reference implementation).
         """
         return cycle
-
-    def sample_block(
-        self, start: int, horizon: int
-    ) -> tuple[int, dict[int, list[Packet]] | None]:
-        """Pre-sample the injections for a span of cycles at once.
-
-        Returns ``(until, packets_by_cycle)`` with ``start < until``:
-
-        * ``packets_by_cycle is None`` — the source cannot block-sample
-          this span; the caller must fall back to per-cycle ``generate``
-          calls for ``[start, until)``.  Nothing has been consumed.
-        * otherwise — the dict maps each cycle in ``[start, until)`` that
-          creates packets to those packets, and the source's internal
-          state (RNG, trace position, …) has advanced exactly as the
-          per-cycle ``generate`` calls over ``[start, until)`` would have
-          advanced it.  The caller must not call ``generate`` for cycles
-          in the covered span.
-
-        ``until`` never exceeds ``horizon``.  The default declines
-        (``(horizon, None)``), which is always correct.
-        """
-        return (horizon, None)
 
     def flow_profile(self, cycle: int) -> "FlowProfile | None":
         """Sustained per-flow injection rates from ``cycle`` onwards.

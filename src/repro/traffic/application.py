@@ -132,8 +132,7 @@ class PhasedWorkload:
 
         Phase generators are reused every pass over the phase list, each
         continuing its own RNG stream, so nothing delegated below may
-        consume draws past ``phase_end``: it bounds every block sample and
-        every lookahead scan.
+        consume draws past ``phase_end``: it bounds every lookahead scan.
         """
         index = self.phase_index_at(cycle)
         if index is None:
@@ -167,30 +166,13 @@ class PhasedWorkload:
             return max(hint, cycle)
         return phase_end
 
-    def sample_block(
-        self, start: int, horizon: int
-    ) -> tuple[int, dict[int, list[Packet]] | None]:
-        """Vectorised ``generate`` for the phase active at ``start``.
-
-        Delegates to the active phase's generator with the horizon clipped
-        at the end of the current phase occurrence, so one block never
-        crosses a phase boundary (the next phase has its own generator and
-        RNG stream); the caller simply samples the next block there.
-        """
-        located = self._locate(start)
-        if located is None:
-            # Finished non-repeating workload: silent forever, no draws.
-            return (horizon, {})
-        index, phase_end = located
-        return self._generators[index].sample_block(start, min(horizon, phase_end))
-
     def flow_profile(self, cycle: int) -> FlowProfile | None:
         """Sustained per-flow rates for the phase active at ``cycle``.
 
         Delegates to the active phase's generator with the profile's
         ``until`` clipped at the end of the current phase occurrence (the
-        next phase has its own pattern and rate), mirroring how
-        ``sample_block`` never crosses a phase boundary.
+        next phase has its own pattern and rate), just as ``generate`` never
+        consumes draws past a phase boundary.
         """
         located = self._locate(cycle)
         if located is None:

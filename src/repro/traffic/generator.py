@@ -10,7 +10,7 @@ from repro.noc.topology import Mesh
 from repro.traffic.injection import BernoulliInjection, InjectionProcess
 from repro.traffic.patterns import TrafficPattern, get_pattern
 
-try:  # numpy backs the vectorised sampler; without it sample_block declines.
+try:  # numpy backs the lookahead scan; without it sources never leap.
     import numpy as np
 except ImportError:  # pragma: no cover - numpy ships with the package deps
     np = None  # type: ignore[assignment]
@@ -102,7 +102,6 @@ class TrafficGenerator:
         self.start_cycle = start_cycle
         self.end_cycle = end_cycle
         self._rng = random.Random(seed)
-        self._static_destinations: list[int] | None = None
         # Stream-exact lookahead (see _scan).  ``_leap`` is the per-draw
         # arrival probability when the source takes the lookahead and 0.0
         # when it does not — decided once, so dense sources pay a single
@@ -286,76 +285,6 @@ class TrafficGenerator:
         self._quiet_from = cycle
         self._quiet_until = quiet_until
         self._hit_cycle = hit_cycle
-
-    def sample_block(
-        self, start: int, horizon: int
-    ) -> tuple[int, dict[int, list[Packet]] | None]:
-        """Vectorised ``generate``: pre-sample injections for ``[start, until)``.
-
-        Implements the :class:`~repro.noc.model.TrafficSource.sample_block`
-        protocol member.  Block sampling is stream-exact only when the
-        injection draw is a single uniform per node per cycle
-        (:class:`BernoulliInjection`) and the destination draw consumes no
-        RNG (``pattern.uses_rng`` is ``False`` — the fixed permutations);
-        anything else interleaves variable-length draws and the method
-        declines with ``(horizon, None)`` so the caller falls back to
-        per-cycle ``generate`` over the same span (identical stream either
-        way).  Window edges mirror ``generate``: before ``start_cycle`` and
-        past ``end_cycle`` the source is silent and draws nothing — and so
-        is the span a lookahead scan already consumed (``_quiet_until``).
-        """
-        if horizon <= start:  # defensive: callers always pass horizon > start
-            return (start + 1, None)
-        if self.end_cycle is not None and start >= self.end_cycle:
-            return (horizon, {})
-        if start < self.start_cycle:
-            # Silent lead-in: generate() returns [] without touching the RNG.
-            return (min(self.start_cycle, horizon), {})
-        if self._leap and self._quiet_from <= start < self._quiet_until:
-            return (min(self._quiet_until, horizon), {})
-        injection = self.injection
-        if (
-            np is None
-            or type(injection) is not BernoulliInjection
-            or self.pattern.uses_rng
-        ):
-            return (horizon, None)
-        if injection.is_quiescent():
-            # Never injects: the draws generate() would burn are unobservable
-            # (the same contract next_injection_cycle's None return relies on).
-            return (horizon, {})
-        until = horizon if self.end_cycle is None else min(horizon, self.end_cycle)
-        nodes = list(self.topology.nodes())
-        if self._static_destinations is None:
-            # uses_rng is False, so these calls consume nothing from _rng.
-            self._static_destinations = [
-                self.pattern.destination(node, self._rng) for node in nodes
-            ]
-        destinations = self._static_destinations
-        num_nodes = len(nodes)
-        draws = (until - start) * num_nodes
-        block = self._mirror_stream().random_sample(draws)
-        self._consume_draws(draws)
-        hits = np.flatnonzero(block < injection.packet_probability)
-        packets_by_cycle: dict[int, list[Packet]] = {}
-        packet_size = self.packet_size
-        # flatnonzero ascends in (cycle, node) order — the same order the
-        # per-cycle generate() loop visits nodes in.
-        for flat in hits.tolist():
-            offset, index = divmod(flat, num_nodes)
-            node = nodes[index]
-            destination = destinations[index]
-            if destination == node:
-                continue
-            cycle = start + offset
-            packets_by_cycle.setdefault(cycle, []).append(
-                Packet(src=node, dst=destination, size=packet_size, creation_cycle=cycle)
-            )
-        if self.end_cycle is not None and until == self.end_cycle:
-            # Past end_cycle the source is silent forever: extend the covered
-            # span to the horizon without drawing.
-            until = horizon
-        return (until, packets_by_cycle)
 
     def flow_profile(self, cycle: int) -> FlowProfile | None:
         """Sustained per-flow rates from ``cycle``, or ``None`` if unsupported.

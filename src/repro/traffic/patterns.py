@@ -22,9 +22,8 @@ class TrafficPattern(ABC):
     name = "abstract"
     #: Whether :meth:`destination` consumes draws from the RNG it is handed.
     #: Patterns that never touch it (the fixed permutations) are *memoryless
-    #: and deterministic*, which lets the vectorised injection sampler
-    #: precompute each node's destination once per block.  Conservatively
-    #: ``True`` on the base class.
+    #: and deterministic*, which lets :meth:`destination_weights` observe
+    #: the fixed mapping.  Conservatively ``True`` on the base class.
     uses_rng = True
 
     def __init__(self, topology: Mesh) -> None:

@@ -100,21 +100,6 @@ class TraceTrafficSource:
             )
         return packets
 
-    def sample_block(
-        self, start: int, horizon: int
-    ) -> tuple[int, dict[int, list[Packet]] | None]:
-        """Pre-compute the replayed packets for ``[start, horizon)``.
-
-        Replay is a stateless table lookup (no RNG, no position cursor), so
-        block sampling is exact by construction.
-        """
-        packets_by_cycle: dict[int, list[Packet]] = {}
-        for cycle in range(start, horizon):
-            packets = self.generate(cycle)
-            if packets:
-                packets_by_cycle[cycle] = packets
-        return (horizon, packets_by_cycle)
-
     def next_injection_cycle(self, cycle: int) -> int | None:
         """Earliest cycle ``>= cycle`` with a trace record (idle-span hint).
 

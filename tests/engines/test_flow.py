@@ -164,7 +164,6 @@ class TestRegistry:
         info = engine_info("flow")
         assert info.approximate
         assert info.selectable
-        assert not info.supports_batch
         assert engine_is_approximate("flow")
         assert not engine_is_approximate("cycle")
         assert not engine_is_approximate("event")

@@ -98,6 +98,22 @@ class TestExecutionConfig:
         assert list(payload) == sorted(payload)
         assert payload["chaos"] is None
 
+    def test_from_dict_names_unknown_fields(self):
+        # A client built against an older config (one with a "batch" knob,
+        # say) gets an error that says which field is stale.
+        payload = {**ExecutionConfig().to_dict(), "batch": 4, "zeta": 1}
+        with pytest.raises(ValueError, match="unknown ExecutionConfig field.*batch, zeta"):
+            ExecutionConfig.from_dict(payload)
+        with pytest.raises(ValueError, match="batch"):
+            ExecutionConfig.from_json(json.dumps({"batch": 4}))
+
+    def test_payloads_missing_fields_load_with_defaults(self):
+        # Older wire payloads that predate a field still load.
+        payload = ExecutionConfig(jobs=3).to_dict()
+        del payload["chaos"]
+        del payload["reuse_evals"]
+        assert ExecutionConfig.from_dict(payload) == ExecutionConfig(jobs=3)
+
     def test_pickle_round_trip(self):
         config = ExecutionConfig(
             jobs=2, supervision=SupervisionPolicy(timeout_s=3.0)

@@ -1,5 +1,6 @@
 """Tests for the suite registry and the declarative bench engine."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -17,9 +18,11 @@ from repro.exp.suites import (
     SuiteUnit,
     Subtrial,
     derive_smoke_suite,
+    expand_unit,
     get_suite,
     paper_suites,
     run_suite,
+    run_suite_subtrial,
     subtrial_key,
     suite_for_artifact,
 )
@@ -218,7 +221,14 @@ class TestRunSuite:
         assert outcome.training is suites.train_controller(smoke.training, jobs=1)
 
     def test_eval_suite_deploys_drl_and_baselines(self):
-        outcome = run_suite("table4-smoke", jobs=1)
+        # The 64x64 flow units dominate table4-smoke's wall clock and are
+        # never asserted on here; the ledger's flow_scaleout covers them.
+        smoke = get_suite("table4-smoke")
+        spec = dataclasses.replace(
+            smoke,
+            units=tuple(unit for unit in smoke.units if unit.params["width"] <= 32),
+        )
+        outcome = run_suite(spec, config=ExecutionConfig())
         for unit in ("4x4/drl", "8x8/static-max"):
             summary = outcome.summary(unit)
             assert summary["epochs"] == 3  # the smoke num_epochs cap
@@ -425,6 +435,59 @@ class TestBuildExperiment:
             suites.build_experiment({"preset": "enormous"})
 
 
+class TestSubtrial:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown subtrial kind 'warp'"):
+            Subtrial("warp", {})
+
+    def test_unpacks_like_the_legacy_tuple(self):
+        kind, params = Subtrial("eval", {"policy": "random"})
+        assert kind == "eval"
+        assert params == {"policy": "random"}
+
+    def test_params_are_copied_from_the_caller(self):
+        source = {"policy": "random"}
+        subtrial = Subtrial("eval", source)
+        source["policy"] = "mutated"
+        assert subtrial.params == {"policy": "random"}
+
+    def test_wire_round_trip(self):
+        subtrial = Subtrial("sweep", {"rate": 0.1, "pattern": "uniform"})
+        assert Subtrial.from_wire(subtrial.to_wire()) == subtrial
+
+    def test_key_is_stable_and_agent_fingerprinted(self):
+        a = Subtrial("eval", {"policy": "random", "seed": 1})
+        b = Subtrial("eval", {"seed": 1, "policy": "random"})
+        assert a.key == b.key
+        assert a.key != Subtrial("eval", {"policy": "random", "seed": 2}).key
+
+    def test_coerce_accepts_subtrials_silently_and_warns_on_tuples(self):
+        subtrial = Subtrial("eval", {"policy": "random"})
+        assert Subtrial.coerce(subtrial, caller="test") is subtrial
+        with pytest.warns(DeprecationWarning, match="test.*deprecated"):
+            coerced = Subtrial.coerce(("eval", {"policy": "random"}), caller="test")
+        assert coerced == subtrial
+
+    def test_subtrial_key_shim_warns_on_tuples(self):
+        subtrial = Subtrial("eval", {"policy": "random"})
+        with pytest.warns(DeprecationWarning):
+            legacy = subtrial_key(("eval", {"policy": "random"}))
+        assert legacy == subtrial.key == subtrial_key(subtrial)
+
+    def test_run_suite_subtrial_shim_warns_on_tuples(self):
+        spec = SuiteUnit(
+            name="point",
+            kind="sweep",
+            params={"rates": [0.05], "warmup_cycles": 20, "measure_cycles": 40},
+        )
+        (subtrial,) = expand_unit(spec)
+        assert isinstance(subtrial, Subtrial)
+        fresh = run_suite_subtrial(subtrial)  # typed call: no warning
+        with pytest.warns(DeprecationWarning, match="run_suite_subtrial"):
+            legacy = run_suite_subtrial(tuple(subtrial))
+        assert legacy["rows"] == fresh["rows"]
+
+
 class TestSubtrialKey:
     def test_key_is_stable_and_order_insensitive(self):
         a = ("sweep", {"rates": [0.05], "seed": 0})
@@ -541,6 +604,83 @@ class TestResumableSuites:
             row["attempts"] >= 1 and row["retries"] == row["attempts"] - 1
             for row in subtrial_rows
         )
+
+
+def _eval_suite(name="eval-dispatch-test"):
+    policies = ("static-max", "static-min", "heuristic", "random")
+    return SuiteSpec(
+        name=name,
+        description="per-subtrial dispatch fixture",
+        units=tuple(
+            SuiteUnit(
+                name=f"eval-{policy}",
+                kind="eval",
+                params={"policy": policy, "preset": "small", "num_epochs": 3},
+            )
+            for policy in policies
+        ),
+    )
+
+
+class _RecordingDispatch:
+    """A ``_dispatch`` executor that runs tasks in-process and records them."""
+
+    def __init__(self):
+        self.tasks = []
+        self.labels = []
+
+    def run(self, worker, tasks, *, labels=None, on_result=None):
+        self.tasks = list(tasks)
+        self.labels = list(labels or ())
+        results = []
+        for index, task in enumerate(self.tasks):
+            results.append(worker(task))
+            if on_result is not None:
+                on_result(index, results[-1], 1)
+        return results
+
+    def close(self):
+        pass
+
+
+class TestSubtrialDispatch:
+    def test_each_subtrial_is_dispatched_as_its_own_task(self):
+        spec = _eval_suite()
+        dispatch = _RecordingDispatch()
+        outcome = run_suite(spec, config=ExecutionConfig(), _dispatch=dispatch)
+        expected = [subtrial for unit in spec.units for subtrial in expand_unit(unit)]
+        assert dispatch.tasks == expected
+        assert all(isinstance(task, Subtrial) for task in dispatch.tasks)
+        assert dispatch.labels == [
+            f"{unit.name}[{position}]" for position, unit in enumerate(spec.units)
+        ]
+        reference = run_suite(spec, config=ExecutionConfig())
+        assert suites.diff_payloads(
+            reference.deterministic_payload(), outcome.deterministic_payload()
+        ) == []
+
+    def test_event_engine_eval_suite_matches_cycle_reference(self):
+        reference = run_suite(_eval_suite(), config=ExecutionConfig(engine="cycle"))
+        event = run_suite(_eval_suite(), config=ExecutionConfig(engine="event"))
+        assert suites.diff_payloads(
+            reference.deterministic_payload(),
+            event.deterministic_payload(),
+            ignore={"engine"},
+        ) == []
+
+    def test_journal_rows_are_one_per_subtrial_and_resume(self, tmp_path):
+        config = ExecutionConfig(engine="event")
+        clean = run_suite(_eval_suite(), config=config, out_dir=tmp_path)
+        path = tmp_path / "eval-dispatch-test.journal.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        payload_rows = [row for row in rows if "journal" not in row]
+        assert len(payload_rows) == 4
+        assert all(row["kind"] == "eval" for row in payload_rows)
+        resumed = run_suite(_eval_suite(), config=config, out_dir=tmp_path, resume=True)
+        assert resumed.resumed_subtrials == 4
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), resumed.deterministic_payload()
+        ) == []
 
 
 class TestSuiteChaos:

@@ -148,6 +148,33 @@ class TestGeneratorLookahead:
         assert leaper.next_injection_cycle(hint // 2) == hint
         assert leaper._rng.getstate() == state
 
+    def test_per_cycle_driving_across_a_committed_scan_matches_the_twin(self):
+        # An engine that never leaps still asks for the hint; generating on
+        # every cycle through the committed span and past it must replay
+        # exactly the per-cycle stream.
+        leaper = _generator(4, "transpose", 2e-4, 4, seed=9)
+        twin = _disable_lookahead(_generator(4, "transpose", 2e-4, 4, seed=9))
+        hint = leaper.next_injection_cycle(0)
+        assert 0 < hint < 4000
+        per_cycle = {}
+        for cycle in range(4000):
+            packets = leaper.generate(cycle)
+            if packets:
+                per_cycle[cycle] = _keys(packets)
+        assert min(per_cycle) == hint
+        expected = {}
+        for cycle in range(4000):
+            packets = twin.generate(cycle)
+            if packets:
+                expected[cycle] = _keys(packets)
+        assert per_cycle == expected
+        # Later quiet spans were committed along the way, the last one past
+        # the end: the twin catches up to it before the streams compare.
+        resume = leaper.next_injection_cycle(4000)
+        assert resume > 4000
+        assert _drive_every_cycle(twin, 4000, resume) == []
+        assert _rng_states(leaper) == _rng_states(twin)
+
     def test_rewinding_falls_back_to_fresh_draws(self):
         # A caller that starts over at cycle 0 is outside the quiet span's
         # memory: it must get fresh draws, not a replay of "nothing".
@@ -168,26 +195,6 @@ class TestGeneratorLookahead:
                 source.generate(cycle)
                 assert source.next_injection_cycle(cycle + 1) == cycle + 1
             assert source._scratch is None
-
-    def test_sample_block_respects_a_committed_scan(self):
-        # transpose draws no destination RNG, so sample_block takes it.
-        leaper = _generator(4, "transpose", 2e-4, 4, seed=9)
-        twin = _disable_lookahead(_generator(4, "transpose", 2e-4, 4, seed=9))
-        hint = leaper.next_injection_cycle(0)
-        assert 0 < hint < 4000
-        state = leaper._rng.getstate()
-        until, sampled = leaper.sample_block(0, 4000)
-        assert (until, sampled) == (hint, {})
-        assert leaper._rng.getstate() == state  # covered span: no draws
-        until, sampled = leaper.sample_block(hint, 4000)
-        assert until == 4000 and hint in sampled
-        expected = {}
-        for cycle in range(4000):
-            packets = twin.generate(cycle)
-            if packets:
-                expected[cycle] = _keys(packets)
-        assert {c: _keys(p) for c, p in sampled.items()} == expected
-        assert leaper._rng.getstate() == twin._rng.getstate()
 
 
 phase_strategy = st.builds(
