@@ -3,8 +3,7 @@
 Runs the same sweep through the experiment engine once with ``jobs=1`` and
 once with ``jobs=N`` (``REPRO_BENCH_JOBS``, default CPU count), verifies the
 two result sequences are identical, and records the speedup to
-``benchmarks/results/parallel_sweep.json`` so CI can track the parallel
-runner's scaling over time.
+``benchmarks/results/parallel_sweep.json``.
 
 The ≥2x speedup assertion only applies on machines with at least four
 cores; on smaller hosts the artefact is still written but the check is
@@ -20,8 +19,7 @@ import time
 import pytest
 
 from repro.analysis.sweep import load_latency_sweep
-from repro.exp.bench import RESULTS_SCHEMA, perf_record
-from repro.exp.perfguard import find_regressions, format_regressions
+from repro.exp.suites import RESULTS_SCHEMA, perf_record
 from repro.noc import SimulatorConfig
 
 RATES = [0.02, 0.08, 0.15, 0.25, 0.40, 0.60]
@@ -67,19 +65,7 @@ def test_parallel_sweep_speedup(report, results_dir, bench_jobs):
             perf_record("fig1-load-latency", total_cycles, parallel_seconds, engine="parallel", jobs=bench_jobs),
         ],
     }
-    # Advisory perf guard: compare against the previous artefact (if any)
-    # before overwriting it, and record the outcome in the new payload.
-    artefact_path = results_dir / "parallel_sweep.json"
-    if artefact_path.exists():
-        baseline = json.loads(artefact_path.read_text())
-        regressions = find_regressions(artefact, baseline, tolerance=0.75)
-        artefact["perf_guard"] = {
-            "tolerance": 0.75,
-            "regressions": [regression.describe() for regression in regressions],
-        }
-        if regressions:
-            print(format_regressions(regressions))
-    artefact_path.write_text(json.dumps(artefact, indent=2))
+    (results_dir / "parallel_sweep.json").write_text(json.dumps(artefact, indent=2))
     report(
         "Parallel sweep — serial vs process-pool wall-clock (fig1 workload)",
         json.dumps(artefact, indent=2),

@@ -27,7 +27,7 @@ import os
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.exp.bench import RESULTS_SCHEMA, perf_record
+from repro.exp.suites import RESULTS_SCHEMA, perf_record
 from repro.exp.execution import ExecutionConfig
 from repro.exp.training import train_dqn_sharded
 

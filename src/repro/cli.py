@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Installed as the ``repro-noc`` console script (or invoked as
-``python -m repro.cli``).  Eight subcommands cover the everyday workflows:
+``python -m repro.cli``).  Seven subcommands cover the everyday workflows:
 
 * ``sweep``     — load/latency characterisation of a mesh (no learning);
   ``--jobs N`` fans the sweep points out over a process pool;
@@ -9,19 +9,13 @@ Installed as the ``repro-noc`` console script (or invoked as
   them (``scenarios list`` / ``scenarios run NAME... --jobs N``);
 * ``suite``     — list, describe, run or diff the registered benchmark
   suites (one per paper figure/table, plus CI-sized ``-smoke`` variants);
-  with ``--check --baseline FILE`` a run doubles as the perf-regression
-  guard over the suite's records; ``suite diff A.json B.json`` compares two
-  stored artefacts row by row (all fields, wall clocks excluded) and exits
-  nonzero on any mismatch; ``suite run`` is fault tolerant (``--timeout``
+  ``suite diff A.json B.json`` compares two stored artefacts row by row
+  (all fields, wall clocks excluded) and exits nonzero on any mismatch;
+  ``suite run`` is fault tolerant (``--timeout``
   / ``--retries`` tune the supervised pool, exit 4 = subtrials failed every
   attempt) and resumable (``--resume`` skips subtrials journaled under
   ``--out`` by a previous, possibly killed, run; Ctrl-C exits 130 with the
   journal flushed);
-* ``bench``     — hot-path engine microbenchmark: cycles/sec of an
-  optimised engine (``--engine cycle`` = activity-tracked loop, ``event`` =
-  calendar queue) vs the naive scan-everything loop; with ``--check
-  --baseline FILE`` it doubles as the perf-regression guard and exits
-  nonzero when throughput falls past ``--tolerance``;
 * ``train``     — train the DQN self-configuration controller (``--jobs N``
   shards actor rollouts over a process pool; ``--resume`` continues from a
   checkpoint) and optionally save a checkpoint;
@@ -29,10 +23,8 @@ Installed as the ``repro-noc`` console script (or invoked as
   held-out workload and print its summary;
 * ``compare``   — evaluate the baselines (and optionally a checkpoint) side
   by side, Table-I style;
-* ``perf``      — consume the stored perf telemetry: ``perf report`` turns
-  every artefact under ``benchmarks/results/`` (plus ``--baseline`` files,
-  e.g. restored CI caches) into a per-(scenario, engine) trend table,
-  engine win/loss matrix and advisory regression check.
+* ``engines``   — list the registered simulation engines and their
+  capability flags.
 
 Two more subcommands host the distributed suite service
 (:mod:`repro.exp.service`):
@@ -52,11 +44,11 @@ Execution flags are shared: ``sweep``, ``scenarios run``, ``suite run``,
 :class:`repro.exp.execution.ExecutionConfig` via
 :func:`execution_config_from_args`.  ``--engine cycle|event`` selects the
 pluggable execution backends of :mod:`repro.engines`; simulated outcomes
-are byte-identical across engines, so the flag is purely a perf choice.
-``--engine auto`` defers that choice to the measured telemetry (the
-:class:`repro.exp.telemetry.EnginePolicy` over the stored artefacts),
-logging which measurement decided.  ``--telemetry PATH`` streams live rows
-(CSV when the path ends in ``.csv``, JSONL otherwise).
+are byte-identical across exact engines, so the flag is purely a perf
+choice (``--engine flow`` is approximate; see ``engines list``).
+``--telemetry PATH`` streams live rows (CSV when the path ends in ``.csv``,
+JSONL otherwise).  Speed itself is measured by the perf ledger
+(``benchmarks/ledger/``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ import difflib
 import json
 import logging
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -80,7 +71,6 @@ from repro.baselines import (
 )
 from repro.core import ExperimentConfig, checkpoint, evaluate_controller
 from repro.exp import (
-    HOTPATH_SCENARIOS,
     TrialExecutionError,
     all_scenarios,
     all_suites,
@@ -89,27 +79,14 @@ from repro.exp import (
     get_suite,
     paper_suites,
     parse_chaos_spec,
-    run_hotpath_benchmark,
     run_scenarios,
     run_suite,
     scenario_names,
     suite_names,
     train_dqn_sharded,
 )
-from repro.engines import (
-    AUTO_ENGINE,
-    DEFAULT_ENGINE,
-    engine_infos,
-    resolve_engine_name,
-    selectable_engine_names,
-)
-from repro.exp.bench import BENCH_ENGINE_VARIANTS, RESULTS_SCHEMA
+from repro.engines import DEFAULT_ENGINE, engine_infos, selectable_engine_names
 from repro.exp.execution import ExecutionConfig, SupervisionPolicy
-from repro.exp.perfguard import (
-    DEFAULT_TOLERANCE,
-    check_against_baseline,
-    format_regressions,
-)
 from repro.exp.service import (
     ServiceError,
     ServiceWorker,
@@ -123,12 +100,7 @@ from repro.exp.suites import (
     JournalMismatchError,
     diff_payloads,
 )
-from repro.exp.telemetry import (
-    DEFAULT_RESULTS_DIR,
-    EnginePolicy,
-    TelemetrySink,
-    build_trend_report,
-)
+from repro.exp.telemetry import TelemetrySink
 from repro.noc import SimulatorConfig
 
 BASELINE_NAMES = ("static-max", "static-min", "heuristic", "random")
@@ -174,19 +146,10 @@ def _check_names(kind: str, names: Sequence[str], known: Sequence[str]) -> bool:
 
 
 def _write_json(path: str, payload) -> None:
-    """Write a JSON artefact, creating parent directories as needed.
-
-    Dict payloads gain a top-level ``generated_at`` stamp (unix seconds) so
-    ``perf report`` can order artefacts by production time even on a fresh
-    checkout, where every committed file shares one mtime.  The stamp is a
-    wall-clock field (see :data:`repro.exp.telemetry.WALL_CLOCK_FIELDS`),
-    so parity diffing ignores it.
-    """
+    """Write a JSON artefact, creating parent directories as needed."""
     target = Path(path)
     if target.parent != Path("."):
         target.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(payload, dict) and "generated_at" not in payload:
-        payload = {**payload, "generated_at": time.time()}
     with target.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
 
@@ -222,9 +185,8 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--engine",
         default=None,
-        help="simulation engine (cycle|event, or auto to pick the "
-        "measured best; see `engines list`; simulated results are "
-        "engine-agnostic)",
+        help="simulation engine (cycle|event|flow; see `engines list`; "
+        "simulated results are identical on the exact engines)",
     )
     group.add_argument(
         "--timeout",
@@ -253,16 +215,14 @@ def execution_config_from_args(
     args: argparse.Namespace,
     *,
     engine: str | None = ...,  # type: ignore[assignment]
-    perf_repeats: int = 1,
     reuse_evals: bool = False,
     chaos=None,
 ) -> ExecutionConfig:
     """Map the shared execution flags 1:1 onto an :class:`ExecutionConfig`.
 
     ``engine`` overrides ``args.engine`` when the command has already
-    resolved it (e.g. ``auto`` → per-suite choice; ``None`` explicitly
-    defers to the spec's own engine); the remaining keywords carry knobs
-    that live outside the shared flag group.
+    resolved it (``None`` explicitly defers to the spec's own engine); the
+    remaining keywords carry knobs that live outside the shared flag group.
     """
     supervision_knobs: dict = {}
     if args.timeout is not None:
@@ -273,7 +233,6 @@ def execution_config_from_args(
         jobs=args.jobs or 1,
         train_jobs=args.train_jobs or 1,
         engine=args.engine if engine is ... else engine,
-        perf_repeats=perf_repeats,
         reuse_evals=reuse_evals,
         supervision=SupervisionPolicy(**supervision_knobs),
         chaos=chaos,
@@ -373,31 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical to a local run",
     )
     suite_run.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=1,
-        help="perf samples per subtrial; the best wall time is kept (rows are "
-        "identical across repeats)",
-    )
-    suite_run.add_argument(
         "--out",
         dest="out_dir",
-        help="directory for per-suite JSON artefacts plus a combined suites.json",
-    )
-    suite_run.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against --baseline and exit nonzero on a perf regression",
-    )
-    suite_run.add_argument(
-        "--baseline",
-        help="stored suites.json artefact to compare cycles_per_s against",
-    )
-    suite_run.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="fraction of baseline throughput that must be retained (default 0.75)",
+        help="directory for the per-suite JSON artefacts and journals",
     )
     suite_run.add_argument(
         "--resume",
@@ -445,54 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     engines_sub = engines.add_subparsers(dest="engines_command", required=True)
     engines_sub.add_parser(
         "list", help="show every registered engine and its capabilities"
-    )
-
-    bench = subparsers.add_parser(
-        "bench", help="hot-path engine microbenchmark (cycles/sec, both engines)"
-    )
-    bench.add_argument(
-        "--scenarios",
-        nargs="+",
-        metavar="NAME",
-        default=list(HOTPATH_SCENARIOS),
-        help=f"scenarios to measure (default: {' '.join(HOTPATH_SCENARIOS)})",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="trial seed")
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="runs per (scenario, engine); the best wall time is kept",
-    )
-    bench.add_argument(
-        "--epochs", type=_positive_int, default=None, help="override the spec's epoch count"
-    )
-    bench.add_argument(
-        "--epoch-cycles", type=_positive_int, default=None, help="override cycles per epoch"
-    )
-    bench.add_argument(
-        "--json", dest="json_path", help="also write the full payload to this file"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against --baseline and exit nonzero on a perf regression",
-    )
-    bench.add_argument(
-        "--baseline",
-        help="stored benchmarks/results artefact to compare cycles_per_s against",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="fraction of baseline throughput that must be retained (default 0.75)",
-    )
-    bench.add_argument(
-        "--engine",
-        default="cycle",
-        help="optimised engine to pit against the naive loop "
-        "(cycle|event; see `engines list`)",
     )
 
     train = subparsers.add_parser(
@@ -597,47 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--preset", choices=("default", "small", "joint"), default="default")
     compare.add_argument("--epochs", type=int, default=None)
 
-    perf = subparsers.add_parser(
-        "perf", help="consume the stored perf telemetry (trend report, engine wins)"
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    perf_report = perf_sub.add_parser(
-        "report",
-        help="trend table, engine win/loss matrix and advisory regression "
-        "check over stored perf artefacts",
-    )
-    perf_report.add_argument(
-        "--results",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="artefact directory to ingest (default: benchmarks/results)",
-    )
-    perf_report.add_argument(
-        "--baseline",
-        action="append",
-        dest="baselines",
-        default=[],
-        metavar="PATH",
-        help="extra artefact file or directory ingested as the oldest samples "
-        "(repeatable; e.g. a restored CI baseline cache)",
-    )
-    perf_report.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format on stdout (default: text)",
-    )
-    perf_report.add_argument(
-        "--json", dest="json_path", help="also write the JSON report to this file"
-    )
-    perf_report.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="fraction of the best prior throughput the newest sample must "
-        "retain (default 0.75); the check is advisory — the report never "
-        "fails the run",
-    )
-
     return parser
 
 
@@ -671,11 +519,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     engine = args.engine or "cycle"
     if not _check_names("engine", [engine], selectable_engine_names()):
         return 2
-    if engine == AUTO_ENGINE:
-        engine, reason = resolve_engine_name(
-            engine, chooser=EnginePolicy.from_results().overall
-        )
-        print(f"engine auto: sweep -> {engine} ({reason})")
     exec_config = execution_config_from_args(args, engine=engine)
     config = SimulatorConfig(width=args.width, routing=args.routing)
     points = load_latency_sweep(
@@ -743,19 +586,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         "engine", [args.engine], selectable_engine_names()
     ):
         return 2
-    engine = args.engine
-    engine_overrides: dict[str, str] | None = None
-    if engine == AUTO_ENGINE:
-        policy = EnginePolicy.from_results()
-        engine = None
-        engine_overrides = {}
-        for name in names:
-            resolved, reason = resolve_engine_name(
-                AUTO_ENGINE, chooser=lambda name=name: policy.choose(name)
-            )
-            engine_overrides[name] = resolved
-            print(f"engine auto: scenario {name} -> {resolved} ({reason})")
-    config = execution_config_from_args(args, engine=engine)
+    config = execution_config_from_args(args)
     sink = TelemetrySink(args.telemetry) if args.telemetry else None
     if sink is not None and config.jobs > 1:
         # Workers forward rows through a manager queue to a parent-side
@@ -770,18 +601,16 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             epochs=args.epochs,
             epoch_cycles=args.epoch_cycles,
-            engine_overrides=engine_overrides,
             telemetry=sink,
         )
         if sink is not None:
             for result in results:
-                override = (engine_overrides or {}).get(result.scenario, config.engine)
                 spec = get_scenario(result.scenario)
                 sink.emit(
                     {
                         "source": "perf",
                         "scenario": result.scenario,
-                        "engine": override or spec.engine or "cycle",
+                        "engine": config.engine or spec.engine or "cycle",
                         "n_nodes": spec.width * (spec.height or spec.width),
                         "seed": result.seed,
                         "cycles": result.cycles,
@@ -904,9 +733,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     engine = args.engine or "cycle"
     if not _check_names("engine", [engine], selectable_engine_names()):
         return 2
-    if args.check and not args.baseline:
-        print("--check requires --baseline", file=sys.stderr)
-        return 2
     if args.resume and not args.out_dir and not args.workers:
         print(
             "--resume requires --out (the journal lives beside the artefact; "
@@ -928,33 +754,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"bad --chaos spec: {error}", file=sys.stderr)
             return 2
 
-    engine_by_suite: dict[str, str] = {}
-    if engine == AUTO_ENGINE:
-        policy = EnginePolicy.from_results()
-        for name in names:
-            # A smoke variant with no telemetry of its own inherits its full
-            # suite's measurements before falling back to the default engine.
-            smoke_of = get_suite(name).smoke_of
-            fallback = (smoke_of,) if smoke_of else ()
-            resolved, reason = resolve_engine_name(
-                AUTO_ENGINE,
-                chooser=lambda name=name, fallback=fallback: policy.choose_for_suite(
-                    name, fallback=fallback
-                ),
-            )
-            engine_by_suite[name] = resolved
-            print(f"engine auto: suite {name} -> {resolved} ({reason})")
-
+    config = execution_config_from_args(args, engine=engine, chaos=chaos)
     sink = TelemetrySink(args.telemetry) if args.telemetry else None
-    all_records: list[dict] = []
     try:
         for name in names:
-            config = execution_config_from_args(
-                args,
-                engine=engine_by_suite.get(name, engine),
-                perf_repeats=args.repeats,
-                chaos=chaos,
-            )
             outcome = run_suite(
                 name,
                 config=config,
@@ -963,7 +766,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 workers=args.workers,
             )
-            all_records.extend(outcome.records)
             if outcome.resumed_subtrials:
                 print(
                     f"suite {name}: resumed {outcome.resumed_subtrials} "
@@ -1017,58 +819,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
             sink.close()
     if sink is not None:
         print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
-    combined = {
-        "schema": list(RESULTS_SCHEMA),
-        "suites": names,
-        "runs": all_records,
-        "generated_at": time.time(),
-    }
-    if args.out_dir:
-        combined_path = Path(args.out_dir) / "suites.json"
-        combined_path.write_text(json.dumps(combined, indent=2), encoding="utf-8")
-        print(f"combined records written to {combined_path}")
-    if args.check or args.baseline:
-        regressions = check_against_baseline(combined, args.baseline, args.tolerance)
-        print(format_regressions(regressions))
-        if regressions:
-            return 3
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if not _check_names("scenario", args.scenarios, scenario_names()):
-        return 2
-    if not _check_names("engine", [args.engine], tuple(sorted(BENCH_ENGINE_VARIANTS))):
-        return 2
-    payload = run_hotpath_benchmark(
-        args.scenarios,
-        seed=args.seed,
-        epochs=args.epochs,
-        epoch_cycles=args.epoch_cycles,
-        repeats=args.repeats,
-        engine=args.engine,
-    )
-    optimised = BENCH_ENGINE_VARIANTS[args.engine]
-    print(format_table(payload["runs"], title="Hot-path engine benchmark (best of runs)"))
-    for scenario, speedup in payload["speedups"].items():
-        equivalent = "ok" if payload["telemetry_equivalent"][scenario] else "DIVERGED"
-        print(
-            f"  {scenario}: {speedup:.2f}x {optimised} vs naive "
-            f"(telemetry {equivalent})"
-        )
-    if args.json_path:
-        _write_json(args.json_path, payload)
-        print(f"full payload written to {args.json_path}")
-    exit_code = 0 if all(payload["telemetry_equivalent"].values()) else 1
-    if args.check or args.baseline:
-        if not args.baseline:
-            print("--check requires --baseline", file=sys.stderr)
-            return 2
-        regressions = check_against_baseline(payload, args.baseline, args.tolerance)
-        print(format_regressions(regressions))
-        if regressions and not exit_code:
-            exit_code = 3
-    return exit_code
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -1079,11 +830,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if engine is not None:
         if not _check_names("engine", [engine], selectable_engine_names()):
             return 2
-        if engine == AUTO_ENGINE:
-            engine, reason = resolve_engine_name(
-                engine, chooser=EnginePolicy.from_results().overall
-            )
-            print(f"engine auto: train -> {engine} ({reason})")
         experiment = replace(
             experiment, simulator=replace(experiment.simulator, engine=engine)
         )
@@ -1175,11 +921,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if engine is not None:
         if not _check_names("engine", [engine], selectable_engine_names()):
             return 2
-        if engine == AUTO_ENGINE:
-            engine, reason = resolve_engine_name(
-                engine, chooser=EnginePolicy.from_results().overall
-            )
-            print(f"engine auto: serve -> {engine} ({reason})")
     config = execution_config_from_args(args, engine=engine)
     try:
         broker = SuiteBroker(
@@ -1280,36 +1021,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """``perf report``: the trend table over every stored perf artefact.
-
-    Always exits 0 — the report is advisory observability; the enforcing
-    gate stays with ``bench --check`` / ``suite run --check``.
-    """
-    report = build_trend_report(args.results, args.baselines)
-    payload = report.to_payload(tolerance=args.tolerance)
-    # Stamp here, not only in _write_json, so the printed JSON and the
-    # --json file stay byte-identical payloads.
-    payload["generated_at"] = time.time()
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.format_text(tolerance=args.tolerance))
-    if args.json_path:
-        _write_json(args.json_path, payload)
-        # Keep stdout machine-readable under --format json.
-        note_stream = sys.stderr if args.format == "json" else sys.stdout
-        print(f"full report written to {args.json_path}", file=note_stream)
-    return 0
-
-
 def cmd_engines(args: argparse.Namespace) -> int:
     """``engines list``: every registry entry with its capability flags.
 
-    ``selectable`` engines are valid ``--engine`` values (plus ``auto``).
-    ``approximate`` engines synthesize telemetry instead of simulating it
-    exactly; compare their artefacts with ``suite diff --approx``, never
-    byte parity, and the auto policy never picks them either.
+    ``selectable`` engines are valid ``--engine`` values.  ``approximate``
+    engines synthesize telemetry instead of simulating it exactly; compare
+    their artefacts with ``suite diff --approx``, never byte parity.
     """
     del args
     rows = [
@@ -1334,13 +1051,11 @@ _COMMANDS = {
     "scenarios": cmd_scenarios,
     "suite": cmd_suite,
     "engines": cmd_engines,
-    "bench": cmd_bench,
     "train": cmd_train,
     "serve": cmd_serve,
     "worker": cmd_worker,
     "evaluate": cmd_evaluate,
     "compare": cmd_compare,
-    "perf": cmd_perf,
 }
 
 

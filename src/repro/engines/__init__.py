@@ -25,7 +25,6 @@ accepted.
 """
 
 from repro.engines.base import (
-    AUTO_ENGINE,
     DEFAULT_ENGINE,
     Engine,
     EngineInfo,
@@ -36,7 +35,6 @@ from repro.engines.base import (
     engine_names,
     get_engine_factory,
     register_engine,
-    resolve_engine_name,
     selectable_engine_names,
     validate_engine_name,
 )
@@ -49,7 +47,6 @@ register_engine("event", EventEngine)
 register_engine("flow", FlowEngine, approximate=True)
 
 __all__ = [
-    "AUTO_ENGINE",
     "CycleEngine",
     "DEFAULT_ENGINE",
     "Engine",
@@ -63,7 +60,6 @@ __all__ = [
     "engine_names",
     "get_engine_factory",
     "register_engine",
-    "resolve_engine_name",
     "selectable_engine_names",
     "validate_engine_name",
 ]

@@ -58,19 +58,17 @@ class EngineInfo:
     """Capability metadata the registry keeps alongside each factory.
 
     ``selectable``
-        The engine is a sensible choice for a *single* simulation and may
-        be offered by ``--engine`` / chosen by ``EnginePolicy``.  Internal
-        engines (an instrumented stepper, say) register with
-        ``selectable=False``: they stay reachable as explicit configuration
-        (``SimulatorConfig(engine=...)``) but are never offered or
-        auto-selected.
+        The engine is a sensible choice for a *single* simulation and is
+        offered by ``--engine``.  Internal engines (an instrumented stepper,
+        say) register with ``selectable=False``: they stay reachable as
+        explicit configuration (``SimulatorConfig(engine=...)``) but are
+        never offered.
     ``approximate``
         The engine trades the byte-identical telemetry contract for speed:
         its statistics are synthesized from an analytical model rather than
         simulated per flit.  Approximate engines must never be compared to
         exact ones with byte parity — use ``suite diff --approx`` (or
-        explicit ``--tolerance FIELD=EPS`` bounds) instead — and
-        ``EnginePolicy`` never auto-selects them.
+        explicit ``--tolerance FIELD=EPS`` bounds) instead.
     """
 
     name: str
@@ -144,43 +142,9 @@ def build_engine(name: str, model: "NoCModel") -> Engine:
     return get_engine_factory(name)(model)
 
 
-#: The ``--engine`` pseudo-name that defers the choice to measured telemetry
-#: (see :class:`repro.exp.telemetry.EnginePolicy`).  Never registered: it
-#: must be resolved to a real engine before anything is built.
-AUTO_ENGINE = "auto"
-
 DEFAULT_ENGINE = "cycle"
 
 
 def selectable_engine_names() -> tuple[str, ...]:
-    """Engine names an ``--engine`` flag accepts.
-
-    The registry's ``selectable`` engines plus ``auto``.
-    """
-    return tuple(info.name for info in engine_infos() if info.selectable) + (AUTO_ENGINE,)
-
-
-def resolve_engine_name(
-    name: str,
-    chooser: Callable[[], tuple[str, str] | None] | None = None,
-    default: str = DEFAULT_ENGINE,
-) -> tuple[str, str]:
-    """Resolve an engine selection to a registered ``(engine, reason)`` pair.
-
-    An explicit name resolves to itself.  :data:`AUTO_ENGINE` defers to
-    ``chooser`` — a callable returning ``(engine, reason)``, e.g. a bound
-    :class:`repro.exp.telemetry.EnginePolicy` method — and falls back to
-    ``default`` when no chooser is wired or it has nothing to say.  The
-    returned reason always says which measurement (or fallback) decided,
-    so callers can log the decision.
-    """
-    if name != AUTO_ENGINE:
-        return validate_engine_name(name), "requested explicitly"
-    choice = chooser() if chooser is not None else None
-    if choice is None:
-        return (
-            validate_engine_name(default),
-            f"no engine telemetry consulted; falling back to {default!r}",
-        )
-    engine, reason = choice
-    return validate_engine_name(engine), reason
+    """Engine names an ``--engine`` flag accepts: the registry's selectable ones."""
+    return tuple(info.name for info in engine_infos() if info.selectable)

@@ -8,11 +8,11 @@ subset.  None of that could ship over a socket, which blocked the ROADMAP's
 distributed suite service.  This module is the consolidation:
 
 * :class:`ExecutionConfig` — a frozen dataclass holding every *execution*
-  knob (worker counts, engine, perf sampling, eval memoization, the
-  supervision policy and an optional chaos script).  It is simultaneously
-  the local API (``run_suite(spec, config=...)``) and the wire payload (the
-  broker/worker lease protocol of :mod:`repro.exp.service` ships it as
-  JSON via :meth:`ExecutionConfig.to_json`).
+  knob (worker counts, engine, eval memoization, the supervision policy
+  and an optional chaos script).  It is simultaneously the local API
+  (``run_suite(spec, config=...)``) and the wire payload (the broker/worker
+  lease protocol of :mod:`repro.exp.service` ships it as JSON via
+  :meth:`ExecutionConfig.to_json`).
 * :class:`SupervisionPolicy` — the fault-tolerance knobs (moved here from
   :mod:`repro.exp.runner`, which re-exports it), so the config module
   depends only on plain data.
@@ -27,12 +27,11 @@ split is exactly what makes the config a safe lease payload.
 
 Determinism: most config fields only reorder wall clock (``jobs``,
 ``reuse_evals``, supervision, chaos — the PR 7 contract), but
-``train_jobs`` participates in the sharded trainer's RNG contract,
-``engine`` is stamped into every subtrial and ``perf_repeats`` changes the
-expanded subtrial set.  :meth:`ExecutionConfig.fingerprint` hashes exactly
-that outcome-affecting half — it is what the suite journal header records
-so ``suite run --resume`` can refuse a journal written under a different
-revision.
+``train_jobs`` participates in the sharded trainer's RNG contract and
+``engine`` is stamped into every subtrial.
+:meth:`ExecutionConfig.fingerprint` hashes exactly that outcome-affecting
+half — it is what the suite journal header records so ``suite run
+--resume`` can refuse a journal written under a different revision.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ class ExecutionConfig:
       the RNG contract: training outcomes depend on it for ``>= 2``.
     * ``engine`` — execution engine for every simulation (``None`` = keep
       each spec's own engine, defaulting to ``cycle``).
-    * ``perf_repeats`` — wall-clock samples per subtrial; best kept.
     * ``reuse_evals`` — memoize completed eval subtrials process-wide.
     * ``supervision`` — the :class:`SupervisionPolicy` fault budget; the
       distributed service reuses ``timeout_s`` as its lease deadline and
@@ -119,7 +117,6 @@ class ExecutionConfig:
     jobs: int = 1
     train_jobs: int = 1
     engine: str | None = None
-    perf_repeats: int = 1
     reuse_evals: bool = False
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     chaos: ChaosPolicy | None = None
@@ -129,8 +126,6 @@ class ExecutionConfig:
             raise ValueError("jobs must be at least 1")
         if self.train_jobs < 1:
             raise ValueError("train_jobs must be at least 1")
-        if self.perf_repeats < 1:
-            raise ValueError("perf_repeats must be at least 1")
 
     # -- derived views --------------------------------------------------------
 
@@ -144,17 +139,12 @@ class ExecutionConfig:
         Two runs whose fingerprints match produce byte-identical suite
         payloads (the determinism contract): ``jobs``, ``reuse_evals``,
         supervision and chaos only reorder wall clock, so they are
-        excluded; ``train_jobs`` (the sharded trainer's RNG contract),
-        ``engine`` (stamped into every subtrial/perf record) and
-        ``perf_repeats`` (changes the expanded subtrial set) are what the
+        excluded; ``train_jobs`` (the sharded trainer's RNG contract) and
+        ``engine`` (stamped into every subtrial/perf record) are what the
         journal header records and ``--resume`` refuses to mix.
         """
         blob = json.dumps(
-            {
-                "train_jobs": self.train_jobs,
-                "engine": self.resolved_engine(),
-                "perf_repeats": self.perf_repeats,
-            },
+            {"train_jobs": self.train_jobs, "engine": self.resolved_engine()},
             sort_keys=True,
         )
         return hashlib.sha1(blob.encode()).hexdigest()
@@ -166,7 +156,6 @@ class ExecutionConfig:
             "jobs": self.jobs,
             "train_jobs": self.train_jobs,
             "engine": self.engine,
-            "perf_repeats": self.perf_repeats,
             "reuse_evals": self.reuse_evals,
             "supervision": self.supervision.to_dict(),
             "chaos": self.chaos.to_dict() if self.chaos is not None else None,
@@ -205,7 +194,6 @@ _LEGACY_FIELD_KNOBS = {
     "jobs": "jobs",
     "train_jobs": "train_jobs",
     "engine": "engine",
-    "perf_repeats": "perf_repeats",
     "reuse_evals": "reuse_evals",
     "chaos": "chaos",
     "supervision": "supervision",

@@ -620,10 +620,9 @@ def run_scenarios(
     repeats: int = 1,
     epochs: int | None = None,
     epoch_cycles: int | None = None,
-    engine_overrides: Mapping[str, str | None] | None = None,
     telemetry=None,
     jobs: int | None = None,
-    engine: str | Mapping[str, str | None] | None = None,
+    engine: str | None = None,
     policy: SupervisionPolicy | None = None,
 ) -> list[ScenarioResult]:
     """Run the named scenarios (``repeats`` seeds each), possibly in parallel.
@@ -632,13 +631,9 @@ def run_scenarios(
     ``config.jobs`` fans trials over a supervised process pool,
     ``config.engine`` overrides every spec's execution engine (``None``
     keeps each spec's own) and ``config.supervision`` tunes the pool's
-    timeout/retry budget.  ``engine_overrides`` maps individual scenario
-    names to engines on top of that (how ``--engine auto`` applies its
-    per-scenario decisions; unmapped names fall back to ``config.engine``,
-    then to their spec's engine).  The legacy ``jobs=``/``engine=``/
-    ``policy=`` keywords still work — they build a config and emit a
-    :class:`DeprecationWarning` (a legacy ``engine`` mapping routes to
-    ``engine_overrides``).
+    timeout/retry budget.  The legacy ``jobs=``/``engine=``/``policy=``
+    keywords still work — they build a config and emit a
+    :class:`DeprecationWarning`.
 
     With ``repeats == 1`` every scenario runs at ``seed`` exactly; with more,
     trial ``r`` of a scenario uses ``trial_seed(seed, r)`` so replications are
@@ -655,20 +650,11 @@ def run_scenarios(
     tap is observability, not an artefact; simulated results are unchanged
     either way.
     """
-    if isinstance(engine, Mapping):
-        # Legacy per-scenario mapping: route to engine_overrides (the
-        # shim below only folds scalar engines into the config).
-        if engine_overrides is not None:
-            raise ValueError("pass either engine_overrides or a legacy engine mapping")
-        engine_overrides = dict(engine)
-        engine = None
     config = coalesce_execution_config(
         config, caller="run_scenarios", jobs=jobs, engine=engine, policy=policy
     )
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    overrides = dict(engine_overrides or {})
-    engine_by_name = {name: overrides.get(name, config.engine) for name in names}
     # Ship the full spec (not just the name) so runtime-registered scenarios
     # survive the trip into spawn-started workers, whose re-imported registry
     # only contains the built-ins.
@@ -678,7 +664,7 @@ def run_scenarios(
             seed if repeats == 1 else trial_seed(seed, repeat),
             epochs,
             epoch_cycles,
-            engine_by_name.get(name),
+            config.engine,
         )
         for name in names
         for repeat in range(repeats)

@@ -236,7 +236,7 @@ class ScenarioResult:
     wall_time_s: float = field(default=0.0, compare=False)
     #: Simulated cycles per wall-clock second (plain float, picklable), or
     #: ``None`` when the run landed under timer resolution — an unmeasurable
-    #: rate is not a rate of zero (see :func:`repro.exp.bench.perf_record`).
+    #: rate is not a rate of zero (see :func:`repro.exp.suites.perf_record`).
     cycles_per_second: float | None = field(default=None, compare=False)
 
     @property

@@ -8,8 +8,10 @@ engine, :func:`run_suite`, expands every unit into picklable subtrials, fans
 the whole suite through :func:`repro.exp.runner.run_trials` (one process
 pool across *all* units, not one pool per sweep) and reassembles per-unit
 rows plus perf records in the shared ``benchmarks/results`` schema
-(``scenario``, ``cycles``, ``wall_s``, ``cycles_per_s``), namespaced with a
-``suite`` key so the perf guard can track ``suite/unit`` baselines.
+(``scenario``, ``cycles``, ``wall_s``, ``cycles_per_s``, see
+:func:`perf_record`) tagged with their ``suite``.  The records are
+information only: diffing ignores their wall-clock fields, and speed
+claims come from the perf ledger (``benchmarks/ledger/``).
 
 The ``benchmarks/bench_fig*.py`` / ``bench_table*.py`` files are thin
 wrappers: they look up their suite by name, run it, and assert the paper's
@@ -18,8 +20,7 @@ catalogue as ``repro-noc suite list|describe|run``.
 
 Every registered suite also gets a CI-sized smoke variant
 (:func:`derive_smoke_suite`, registered as ``<name>-smoke``) that shrinks
-cycles/episodes but walks the same code paths — those are what CI measures,
-baselines and gates on its own runner.
+cycles/episodes but walks the same code paths — those are what CI runs.
 
 Determinism: suite results depend only on the spec (all seeds are part of
 the data) and on ``train_jobs`` (the sharded trainer's documented RNG
@@ -54,7 +55,6 @@ from repro.core.training import (
     train_dqn_controller,
     train_tabular_controller,
 )
-from repro.exp.bench import RESULTS_SCHEMA, perf_record
 from repro.exp.chaos import ChaosPolicy
 from repro.exp.execution import ExecutionConfig, coalesce_execution_config
 from repro.exp.runner import SupervisedTrialPool, SupervisionPolicy, trial_seed
@@ -65,6 +65,29 @@ from repro.noc import SimulatorConfig
 from repro.rl.dqn import DQNAgent
 
 UNIT_KINDS = ("sweep", "scenario", "train", "train-eval", "eval")
+
+#: Field names of the shared perf-record schema.
+RESULTS_SCHEMA = ("scenario", "cycles", "wall_s", "cycles_per_s")
+
+
+def perf_record(scenario: str, cycles: int, wall_s: float, **extra) -> dict:
+    """A perf sample in the shared ``benchmarks/results`` schema.
+
+    A run faster than the timer's resolution has no measurable throughput:
+    its rate is recorded as ``None`` (JSON null), never ``0.0``, which
+    would read as "infinitely slow".  ``extra`` keys ride along; the
+    ``engine`` defaults to ``"cycle"``.
+    """
+    record = {
+        "scenario": scenario,
+        "cycles": int(cycles),
+        "wall_s": float(wall_s),
+        "cycles_per_s": float(cycles) / wall_s if wall_s > 0 else None,
+    }
+    record.update(extra)
+    record.setdefault("engine", "cycle")
+    return record
+
 
 #: Ablation agent variants a ``train-eval`` unit may name.
 TRAIN_EVAL_AGENTS = ("dqn", "double-dqn", "dueling-dqn", "tabular-q")
@@ -267,18 +290,6 @@ def build_policy(
 _TRAINING_CACHE: dict[tuple[str, int], TrainingResult] = {}
 
 
-def _train_once(training: Mapping, jobs: int) -> TrainingResult:
-    """One uncached controller training run for ``training``."""
-    experiment = build_experiment(training)
-    return train_dqn_sharded(
-        experiment,
-        episodes=int(training.get("episodes", 22)),
-        config=ExecutionConfig(train_jobs=jobs),
-        epsilon_decay_steps=int(training.get("epsilon_decay_steps", 400)),
-        seed=int(training.get("seed", 0)),
-    )
-
-
 def train_controller(training: Mapping, *, jobs: int = 1) -> TrainingResult:
     """Train (or fetch the cached) shared DRL controller for ``training``.
 
@@ -289,7 +300,13 @@ def train_controller(training: Mapping, *, jobs: int = 1) -> TrainingResult:
     """
     key = (json.dumps(dict(training), sort_keys=True), jobs)
     if key not in _TRAINING_CACHE:
-        _TRAINING_CACHE[key] = _train_once(training, jobs)
+        _TRAINING_CACHE[key] = train_dqn_sharded(
+            build_experiment(training),
+            episodes=int(training.get("episodes", 22)),
+            config=ExecutionConfig(train_jobs=jobs),
+            epsilon_decay_steps=int(training.get("epsilon_decay_steps", 400)),
+            seed=int(training.get("seed", 0)),
+        )
     return _TRAINING_CACHE[key]
 
 
@@ -719,8 +736,8 @@ def unit_shape(params: Mapping) -> tuple[int, float | None]:
     is the unit's fixed injection rate when it has one (an explicit
     ``rate`` or a synthetic ``traffic`` override) and ``None`` when it
     varies — sweep units sweep many rates, phased workloads ramp through
-    several.  These ride every perf record and telemetry row so ``perf
-    report`` can group trends by mesh size.
+    several.  These ride every perf record and telemetry row, so a
+    4x4 sample is never read as comparable to a 64x64 one.
     """
     width = int(params.get("width") or 4)
     rate = params.get("rate")
@@ -819,8 +836,8 @@ class SuiteOutcome:
             "units": self.units,
             "runs": self.records,
             "wall_s_total": self.wall_s,
-            # Production timestamp for perf-report ordering; wall-clock, so
-            # diff_payloads ignores it like every other timing field.
+            # Production timestamp; wall-clock, so diff_payloads ignores it
+            # like every other timing field.
             "generated_at": time.time(),
         }
 
@@ -855,7 +872,6 @@ def run_suite(
     workers: str | None = None,
     jobs: int | None = None,
     train_jobs: int | None = None,
-    perf_repeats: int | None = None,
     reuse_evals: bool | None = None,
     engine: str | None = None,
     timeout_s: float | None = None,
@@ -867,12 +883,12 @@ def run_suite(
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`
     — every knob that shapes *execution* in one frozen, serializable value.
-    The legacy keywords (``jobs``, ``train_jobs``, ``perf_repeats``,
-    ``reuse_evals``, ``engine``, ``timeout_s``, ``retries``, ``chaos``)
-    still work: they fold into a config and emit a
-    :class:`DeprecationWarning`.  What stays a keyword is the environment —
-    ``out_dir``, ``telemetry``, ``resume``, ``workers`` describe where the
-    run happens, not what it computes, and never cross a socket.
+    The legacy keywords (``jobs``, ``train_jobs``, ``reuse_evals``,
+    ``engine``, ``timeout_s``, ``retries``, ``chaos``) still work: they
+    fold into a config and emit a :class:`DeprecationWarning`.  What stays
+    a keyword is the environment — ``out_dir``, ``telemetry``, ``resume``,
+    ``workers`` describe where the run happens, not what it computes, and
+    never cross a socket.
 
     ``config.jobs`` parallelises the suite's subtrials (simulated outcomes
     are identical for any value); ``config.train_jobs`` is handed to the
@@ -880,20 +896,13 @@ def run_suite(
     reference path).  ``config.engine`` runs the whole suite — subtrials
     and the shared training — on the named execution engine (simulated
     outcomes are engine-agnostic; every perf record is tagged with the
-    engine so baselines track each backend separately).
-    ``config.perf_repeats`` runs every subtrial — and any shared-training
-    unit — N times and keeps the best (minimum) wall time per unit for the
-    perf records; rows come from the first repeat and are identical across
-    repeats, so this only steadies the wall-clock samples (the CI gate runs
-    with repeats; the sub-second smoke units are otherwise at the mercy of
-    a shared runner's scheduler).  ``config.reuse_evals`` memoizes
+    engine that ran it).  ``config.reuse_evals`` memoizes
     completed ``eval`` subtrials process-wide, keyed on their params plus
     the deployed weights, so a session running several suites over the same
     phased policies (the benchmark harness) pays for each distinct
-    evaluation once; cached evals reuse their recorded wall time, so
-    combine it with ``perf_repeats`` only when stale samples are
-    acceptable.  With ``out_dir`` the outcome is also written to
-    ``<out_dir>/<suite>.json`` in the shared artefact shape.
+    evaluation once; cached evals reuse their recorded wall time.  With
+    ``out_dir`` the outcome is also written to ``<out_dir>/<suite>.json``
+    in the shared artefact shape.
 
     Every expanded subtrial — a typed :class:`Subtrial` — is its own pool
     task, journal row and memo entry.
@@ -906,10 +915,10 @@ def run_suite(
 
     ``telemetry`` is an optional live tap (anything with ``emit(row)``,
     typically a :class:`repro.exp.telemetry.TelemetrySink`): one
-    ``source="subtrial"`` row per first-repeat subtrial as its payload
-    lands, then one ``source="perf"`` row per unit perf record.  Rows are
-    emitted parent-side in unit order — never from pool workers, where an
-    open sink would not pickle — so the stream is deterministic for any
+    ``source="subtrial"`` row per subtrial as its payload lands, then one
+    ``source="perf"`` row per unit perf record.  Rows are emitted
+    parent-side in unit order — never from pool workers, where an open
+    sink would not pickle — so the stream is deterministic for any
     ``jobs`` (wall-clock fields aside), same as the payloads themselves.
     Subtrial rows also carry the supervised pool's ``attempts``/``retries``
     accounting (scheduling metadata — diff-ignored like wall clock).
@@ -940,7 +949,6 @@ def run_suite(
         retries=retries,
         jobs=jobs,
         train_jobs=train_jobs,
-        perf_repeats=perf_repeats,
         reuse_evals=reuse_evals,
         engine=engine,
         chaos=chaos,
@@ -978,21 +986,13 @@ def run_suite(
     fingerprint = _agent_fingerprint(agent_payload) if reuse else ""
 
     parent_payloads: dict[int, tuple[dict, float]] = {}
-    tagged: list[tuple[int, int, Subtrial]] = []  # (unit index, repeat, subtrial)
+    tagged: list[tuple[int, Subtrial]] = []  # (unit index, subtrial)
     for index, unit in enumerate(spec.units):
         if unit.kind == "train":
-            payload, unit_wall_s = _train_unit_payload(unit, spec, training_result)
-            # Resample the (possibly cached) training's wall clock too:
-            # the gate's best-of-N discipline must cover every record it
-            # compares, not just the pool subtrials.
-            for _ in range(config.perf_repeats - 1):
-                fresh = _train_once(spec.training, config.train_jobs)
-                unit_wall_s = min(unit_wall_s, fresh.wall_time_s)
-            parent_payloads[index] = (payload, unit_wall_s)
+            parent_payloads[index] = _train_unit_payload(unit, spec, training_result)
             continue
         subtrials = expand_unit(unit, agent_payload, engine=engine_name)
-        for repeat in range(config.perf_repeats):
-            tagged.extend((index, repeat, subtrial) for subtrial in subtrials)
+        tagged.extend((index, subtrial) for subtrial in subtrials)
 
     # The journal (resumable runs): a fresh run truncates any stale file; a
     # resume loads it — refusing one stamped by a different suite revision
@@ -1015,7 +1015,7 @@ def run_suite(
     attempts_by_position = [0] * len(tagged)
     resumed = 0
     dispatch: list[tuple[int, str | None, str | None, Subtrial]] = []
-    for position, (index, _, subtrial) in enumerate(tagged):
+    for position, (index, subtrial) in enumerate(tagged):
         journal_key = subtrial.key if journal is not None else None
         if journal_key is not None and journal_key in journaled:
             payloads[position] = journaled[journal_key]
@@ -1089,10 +1089,10 @@ def run_suite(
         if cache_key is not None:
             _EVAL_CACHE[cache_key] = payload
 
-    grouped: dict[tuple[int, int], list[dict]] = {}
-    for position, ((index, repeat, _), payload) in enumerate(zip(tagged, payloads)):
-        grouped.setdefault((index, repeat), []).append(payload)
-        if telemetry is not None and repeat == 0:
+    grouped: dict[int, list[dict]] = {}
+    for position, ((index, _), payload) in enumerate(zip(tagged, payloads)):
+        grouped.setdefault(index, []).append(payload)
+        if telemetry is not None:
             unit = spec.units[index]
             wall_s = payload.get("wall_s", 0.0)
             attempts = attempts_by_position[position]
@@ -1110,7 +1110,6 @@ def run_suite(
                     "engine": unit.params.get("engine") or engine_name,
                     "n_nodes": n_nodes,
                     "injection_rate": injection_rate,
-                    "repeat": repeat,
                     "rows": len(payload.get("rows", ())),
                     "cycles": payload.get("cycles"),
                     "wall_s": wall_s,
@@ -1131,7 +1130,7 @@ def run_suite(
         if index in parent_payloads:
             payload, unit_wall_s = parent_payloads[index]
         else:
-            parts = grouped[(index, 0)]
+            parts = grouped[index]
             payload = {
                 "unit": unit.name,
                 "kind": unit.kind,
@@ -1140,10 +1139,7 @@ def run_suite(
             }
             if len(parts) == 1 and "summary" in parts[0]:
                 payload["summary"] = parts[0]["summary"]
-            unit_wall_s = min(
-                sum(part["wall_s"] for part in grouped[(index, repeat)])
-                for repeat in range(config.perf_repeats)
-            )
+            unit_wall_s = sum(part["wall_s"] for part in parts)
         units.append(payload)
         n_nodes, injection_rate = unit_shape(unit.params)
         records.append(

@@ -36,19 +36,19 @@ class TestRegistry:
         assert get_engine_factory("cycle") is CycleEngine
         assert get_engine_factory("event") is EventEngine
 
-    @pytest.mark.parametrize("name", ["numpy", "batch"])
+    @pytest.mark.parametrize("name", ["numpy", "batch", "auto"])
     def test_deleted_engines_are_rejected_by_the_cli(self, name, capsys):
         assert main(["suite", "run", "fig1-smoke", "--engine", name]) == 2
         err = capsys.readouterr().err
         assert f"unknown engine: {name}" in err
-        assert "known: cycle, event, flow, auto" in err
+        assert "known: cycle, event, flow)" in err
 
     def test_engines_list_shows_capabilities(self, capsys):
         assert main(["engines", "list"]) == 0
         out = capsys.readouterr().out
         assert "cycle (default)" in out
         assert "approximate" in out
-        assert "--engine accepts: cycle, event, flow, auto" in out
+        assert "--engine accepts: cycle, event, flow;" in out
 
     def test_engine_infos_cover_all_builtins(self):
         assert engine_infos() == (
@@ -57,8 +57,8 @@ class TestRegistry:
             EngineInfo(name="flow", selectable=True, approximate=True),
         )
 
-    def test_selectable_names_offer_every_builtin_and_auto(self):
-        assert selectable_engine_names() == ("cycle", "event", "flow", "auto")
+    def test_selectable_names_offer_every_builtin(self):
+        assert selectable_engine_names() == ("cycle", "event", "flow")
 
     def test_unknown_engine_rejected_with_known_list(self):
         with pytest.raises(KeyError, match="unknown engine 'warp'.*cycle"):

@@ -168,13 +168,6 @@ class TestRegistry:
         assert not engine_is_approximate("cycle")
         assert not engine_is_approximate("event")
 
-    def test_auto_policy_never_picks_approximate_engines(self):
-        from repro.exp.telemetry import EnginePolicy, TrendReport
-
-        policy = EnginePolicy(TrendReport(series=(), sources=(), skipped=()))
-        assert "flow" not in policy.engines
-        assert "cycle" in policy.engines
-
 
 def _run(engine, *, width=4, pattern="uniform", rate=0.15, cycles=3000, dvfs=0):
     config = SimulatorConfig(width=width, engine=engine, initial_dvfs_level=dvfs)

@@ -16,9 +16,7 @@ from repro.exp.suites import (
 from repro.exp.telemetry import (
     TELEMETRY_FIELDS,
     TelemetrySink,
-    TrendReport,
     read_telemetry,
-    records_from_telemetry,
 )
 
 
@@ -125,48 +123,23 @@ class TestMeshShapeTelemetry:
         )
         assert unit_shape({"rate": 0.15}) == (16, 0.15)
 
-    def test_perf_records_round_trip_mesh_shape(self):
-        rows = [
-            {
-                "source": "perf",
-                "scenario": "8x8/static-max",
-                "engine": "flow",
-                "n_nodes": 64,
-                "injection_rate": 0.02,
-                "cycles": 1000,
-                "wall_s": 0.5,
-                "cycles_per_s": 2000.0,
-            }
-        ]
-        records = records_from_telemetry(rows)
-        assert records[0]["n_nodes"] == 64
-        assert records[0]["injection_rate"] == 0.02
-
-    def test_trend_report_groups_by_mesh_size(self):
-        artifacts = [
-            (
-                "a.json",
-                [
-                    {"scenario": "s4", "engine": "cycle", "n_nodes": 16,
-                     "cycles_per_s": 1000.0},
-                    {"scenario": "s64", "engine": "flow", "n_nodes": 4096,
-                     "cycles_per_s": 9000.0},
-                ],
-            )
-        ]
-        report = TrendReport.from_artifacts(artifacts)
-        by_scenario = {series.scenario: series for series in report.series}
-        assert by_scenario["s4"].n_nodes == 16
-        assert by_scenario["s64"].n_nodes == 4096
-        text = report.format_text()
-        assert "16 routers" in text
-        assert "4096 routers" in text
-
-    def test_legacy_records_without_shape_still_report(self):
-        artifacts = [("a.json", [{"scenario": "s", "cycles_per_s": 10.0}])]
-        report = TrendReport.from_artifacts(artifacts)
-        assert report.series[0].n_nodes is None
-        assert "Throughput trend (cycles/s)" in report.format_text()
+    def test_perf_records_round_trip_mesh_shape(self, tmp_path):
+        row = {
+            "source": "perf",
+            "scenario": "8x8/static-max",
+            "engine": "flow",
+            "n_nodes": 64,
+            "injection_rate": 0.02,
+            "cycles": 1000,
+            "wall_s": 0.5,
+            "cycles_per_s": 2000.0,
+        }
+        for name in ("tap.jsonl", "tap.csv"):
+            with TelemetrySink(tmp_path / name) as sink:
+                sink.emit(row)
+            (read_back,) = read_telemetry(tmp_path / name)
+            assert read_back["n_nodes"] == 64
+            assert read_back["injection_rate"] == 0.02
 
 
 class TestParallelTelemetry:

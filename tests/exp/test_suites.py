@@ -1,6 +1,7 @@
 """Tests for the suite registry and the declarative bench engine."""
 
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from repro.exp.execution import ExecutionConfig
 from repro.exp.runner import TrialExecutionError
 from repro.exp.scenarios import scenario_names
 from repro.exp.suites import (
+    RESULTS_SCHEMA,
     SuiteJournal,
     SuiteSpec,
     SuiteUnit,
@@ -21,6 +23,7 @@ from repro.exp.suites import (
     expand_unit,
     get_suite,
     paper_suites,
+    perf_record,
     run_suite,
     run_suite_subtrial,
     subtrial_key,
@@ -193,6 +196,34 @@ class TestSmokeDerivation:
         assert smoke.smoke_of == "tiny"
 
 
+class TestPerfRecord:
+    def test_shared_schema_fields(self):
+        record = perf_record("uniform", 4_000, 2.0)
+        assert set(RESULTS_SCHEMA) <= set(record)
+        assert record["cycles_per_s"] == pytest.approx(2_000.0)
+
+    def test_zero_wall_time_is_safe(self):
+        # A run under timer resolution is unmeasurable, not infinitely slow:
+        # the rate must be null (0.0 would read as a catastrophic regression).
+        record = perf_record("uniform", 100, 0.0)
+        assert record["wall_s"] == 0.0
+        assert record["cycles_per_s"] is None
+
+    def test_extra_keys_pass_through(self):
+        assert perf_record("uniform", 1, 1.0, engine="event")["engine"] == "event"
+
+    def test_engine_defaults_to_cycle(self):
+        assert perf_record("uniform", 1, 1.0)["engine"] == "cycle"
+
+    @pytest.mark.parametrize("bench", ["bench_parallel_sweep", "bench_train_scaling"])
+    def test_scale_out_benches_import_the_shared_schema(self, bench):
+        spec = importlib.util.spec_from_file_location(bench, BENCH_DIR / f"{bench}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.perf_record is perf_record
+        assert module.RESULTS_SCHEMA is RESULTS_SCHEMA
+
+
 class TestRunSuite:
     def test_fig1_smoke_is_deterministic_and_writes_the_artifact(self, tmp_path):
         first = run_suite("fig1-smoke", jobs=1, out_dir=tmp_path)
@@ -234,22 +265,6 @@ class TestRunSuite:
             assert summary["epochs"] == 3  # the smoke num_epochs cap
             assert summary["energy_per_flit_pj"] > 0
         assert len(outcome.rows("6x6/heuristic")) == 3
-
-    def test_perf_repeats_resamples_wall_clock_but_not_rows(self):
-        single = run_suite("fig1-smoke", jobs=1)
-        repeated = run_suite("fig1-smoke", jobs=1, perf_repeats=3)
-        assert repeated.units == single.units  # rows/cycles identical
-        assert len(repeated.records) == len(single.records)
-        with pytest.raises(ValueError, match="perf_repeats"):
-            run_suite("fig1-smoke", perf_repeats=0)
-
-    def test_perf_repeats_covers_train_units_too(self):
-        single = run_suite("fig3-smoke", jobs=1)
-        repeated = run_suite("fig3-smoke", jobs=1, perf_repeats=2)
-        assert repeated.units == single.units
-        # The repeated run resampled the training wall clock; best-of-N can
-        # only improve (lower wall = higher cycles/s) on the cached sample.
-        assert repeated.records[0]["cycles_per_s"] >= single.records[0]["cycles_per_s"]
 
     def test_reuse_evals_memoizes_identical_evaluations(self):
         suites._EVAL_CACHE.clear()

@@ -1,26 +1,16 @@
-"""Tests for the perf-telemetry pipeline: sink, trend report, engine policy."""
+"""Tests for the live telemetry tap: sink, read-back and field registry."""
 
 import io
-import json
-import os
 
 import pytest
 
-from repro.engines import AUTO_ENGINE, resolve_engine_name, selectable_engine_names
-from repro.exp.bench import perf_record
 from repro.exp.scenarios import run_scenario
 from repro.exp.suites import DIFF_IGNORED_KEYS, diff_payloads, run_suite
 from repro.exp.telemetry import (
     TELEMETRY_FIELDS,
     WALL_CLOCK_FIELDS,
-    EngineDecision,
-    EnginePolicy,
     TelemetrySink,
-    TrendReport,
-    build_trend_report,
-    ingest_artifacts,
     read_telemetry,
-    records_from_telemetry,
 )
 
 ROWS = [
@@ -53,14 +43,6 @@ ROWS = [
 ]
 
 
-def write_artifact(path, records, mtime, generated_at=None):
-    payload = {"runs": records}
-    if generated_at is not None:
-        payload["generated_at"] = generated_at
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    os.utime(path, (mtime, mtime))
-
-
 class TestTelemetrySink:
     def test_csv_and_jsonl_round_trip_identically(self, tmp_path):
         csv_path = tmp_path / "tap.csv"
@@ -79,9 +61,12 @@ class TestTelemetrySink:
         assert csv_rows[1]["cycles_per_s"] is None
 
     def test_format_follows_suffix(self, tmp_path):
-        assert TelemetrySink(tmp_path / "x.csv").format == "csv"
-        assert TelemetrySink(tmp_path / "x.jsonl").format == "jsonl"
-        assert TelemetrySink(tmp_path / "x.log").format == "jsonl"
+        with TelemetrySink(tmp_path / "x.csv") as sink:
+            assert sink.format == "csv"
+        with TelemetrySink(tmp_path / "x.jsonl") as sink:
+            assert sink.format == "jsonl"
+        with TelemetrySink(tmp_path / "x.log") as sink:
+            assert sink.format == "jsonl"
 
     def test_streams_to_an_open_handle_without_closing_it(self):
         handle = io.StringIO()
@@ -115,246 +100,6 @@ class TestTelemetrySink:
         assert "bogus" not in read_telemetry(path)[0]
 
 
-class TestRecordsFromTelemetry:
-    def test_keeps_only_perf_rows(self):
-        records = records_from_telemetry(ROWS)
-        assert len(records) == 1
-        assert records[0]["scenario"] == "uniform"
-        assert records[0]["cycles_per_s"] == 800.0
-
-    def test_null_rate_survives_as_explicit_null(self):
-        rows = [{"source": "perf", "scenario": "uniform", "cycles_per_s": None}]
-        records = records_from_telemetry(rows)
-        # Present-but-null marks an unmeasurable sample; a missing key would
-        # mark a malformed record and raise in the perf guard instead.
-        assert records[0]["cycles_per_s"] is None
-
-
-class TestIngestArtifacts:
-    def test_orders_artifacts_oldest_first_and_baselines_before_results(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        write_artifact(results / "new.json", [perf_record("a", 100, 0.1)], mtime=2_000)
-        write_artifact(results / "old.json", [perf_record("a", 100, 0.2)], mtime=1_000)
-        baseline = tmp_path / "baseline.json"
-        write_artifact(baseline, [perf_record("a", 100, 0.4)], mtime=3_000)
-        artifacts, skipped = ingest_artifacts(results, baselines=[baseline])
-        assert [label for label, _ in artifacts] == [
-            str(baseline),
-            str(results / "old.json"),
-            str(results / "new.json"),
-        ]
-        assert skipped == []
-
-    def test_generated_at_stamp_beats_mtime_ordering(self, tmp_path):
-        # A fresh checkout gives every committed artefact one mtime, so the
-        # writers stamp payloads with generated_at; ordering must prefer the
-        # stamp (here deliberately reversed from both mtime and name order).
-        write_artifact(
-            tmp_path / "a.json",
-            [perf_record("a", 100, 0.2)],
-            mtime=1_000,
-            generated_at=2_000,
-        )
-        write_artifact(
-            tmp_path / "b.json",
-            [perf_record("a", 100, 0.1)],
-            mtime=1_000,
-            generated_at=1_500,
-        )
-        artifacts, _ = ingest_artifacts(tmp_path)
-        assert [label for label, _ in artifacts] == [
-            str(tmp_path / "b.json"),
-            str(tmp_path / "a.json"),
-        ]
-        # Unstamped legacy artefacts keep the mtime fallback alongside.
-        write_artifact(tmp_path / "c.json", [perf_record("a", 100, 0.4)], mtime=3_000)
-        artifacts, _ = ingest_artifacts(tmp_path)
-        assert [label for label, _ in artifacts] == [
-            str(tmp_path / "b.json"),
-            str(tmp_path / "a.json"),
-            str(tmp_path / "c.json"),
-        ]
-
-    def test_foreign_and_empty_artifacts_are_reported_not_fatal(self, tmp_path):
-        (tmp_path / "notes.json").write_text(json.dumps({"speedups": {}}))
-        (tmp_path / "broken.json").write_text("{nope")
-        (tmp_path / "rows.csv").write_text("a,b\n1,2\n")
-        artifacts, skipped = ingest_artifacts(tmp_path)
-        assert artifacts == []
-        assert len(skipped) == 3
-
-    def test_missing_results_dir_is_empty_not_fatal(self, tmp_path):
-        artifacts, skipped = ingest_artifacts(tmp_path / "nowhere")
-        assert artifacts == [] and skipped == []
-
-
-class TestTrendReport:
-    def build(self, tmp_path):
-        write_artifact(
-            tmp_path / "oldest.json",
-            [
-                perf_record("uniform", 1_000, 1.0, engine="cycle"),  # 1000 c/s
-                perf_record("uniform", 1_000, 0.5, engine="event"),  # 2000 c/s
-            ],
-            mtime=1_000,
-        )
-        write_artifact(
-            tmp_path / "newest.json",
-            [
-                perf_record("uniform", 1_000, 0.25, engine="cycle"),  # 4000 c/s
-                perf_record("uniform", 1_000, 2.0, engine="event"),  # 500 c/s
-                perf_record("uniform", 1_000, 0.0, engine="event"),  # unmeasurable
-            ],
-            mtime=2_000,
-        )
-        return build_trend_report(tmp_path)
-
-    def test_series_best_median_and_deltas(self, tmp_path):
-        report = self.build(tmp_path)
-        by_key = {(s.scenario, s.engine): s for s in report.series}
-        cycle = by_key[("uniform", "cycle")]
-        assert cycle.samples == (1_000.0, 4_000.0)
-        assert cycle.best == 4_000.0
-        assert cycle.median == 2_500.0
-        assert cycle.vs_oldest == pytest.approx(4.0)
-        event = by_key[("uniform", "event")]
-        # The wall_s == 0 record is skipped, not read as zero throughput.
-        assert event.samples == (2_000.0, 500.0)
-        assert event.vs_best == pytest.approx(0.25)
-
-    def test_win_matrix_and_winners(self, tmp_path):
-        report = self.build(tmp_path)
-        matrix = report.win_matrix()
-        assert matrix["uniform"]["cycle"] == 2_500.0
-        assert matrix["uniform"]["event"] == 1_250.0
-        assert report.winners() == {"uniform": "cycle"}
-        assert report.win_loss() == {
-            "cycle": {"wins": 1, "losses": 0},
-            "event": {"wins": 0, "losses": 1},
-        }
-
-    def test_regressions_reuse_the_perfguard_definition(self, tmp_path):
-        report = self.build(tmp_path)
-        regressions = report.regressions(tolerance=0.75)
-        # event fell 2000 -> 500 (0.25x); cycle improved.
-        assert [(r.scenario, r.engine) for r in regressions] == [("uniform", "event")]
-        assert regressions[0].ratio == pytest.approx(0.25)
-        assert report.regressions(tolerance=0.1) == []
-
-    def test_single_sample_series_never_regress(self, tmp_path):
-        write_artifact(tmp_path / "only.json", [perf_record("a", 100, 0.1)], mtime=1_000)
-        assert build_trend_report(tmp_path).regressions() == []
-
-    def test_zero_wall_time_record_is_safe_end_to_end(self, tmp_path):
-        # The CI-spurious-failure bug: a sub-resolution sample must neither
-        # crash the report nor read as an infinitely slow regression.
-        write_artifact(
-            tmp_path / "old.json", [perf_record("uniform", 1_000, 1.0)], mtime=1_000
-        )
-        write_artifact(
-            tmp_path / "new.json", [perf_record("uniform", 1_000, 0.0)], mtime=2_000
-        )
-        report = build_trend_report(tmp_path)
-        assert report.regressions() == []
-        (series,) = report.series
-        assert series.samples == (1_000.0,)
-
-    def test_records_missing_cycles_per_s_are_skipped_with_a_note(self, tmp_path):
-        write_artifact(
-            tmp_path / "mixed.json",
-            [perf_record("good", 100, 0.1), {"scenario": "bad", "cycles": 1}],
-            mtime=1_000,
-        )
-        report = build_trend_report(tmp_path)
-        assert [series.scenario for series in report.series] == ["good"]
-        assert any("lacks cycles_per_s" in note for note in report.skipped)
-
-    def test_payload_and_text_render(self, tmp_path):
-        report = self.build(tmp_path)
-        payload = report.to_payload(tolerance=0.75)
-        assert payload["winners"] == {"uniform": "cycle"}
-        assert len(payload["regressions"]) == 1
-        text = report.format_text(tolerance=0.75)
-        assert "Throughput trend" in text
-        assert "win/loss matrix" in text
-        assert "1 regression(s)" in text
-        empty = TrendReport.from_artifacts([])
-        assert "nothing to report" in empty.format_text()
-
-
-class TestEnginePolicy:
-    def policy(self, tmp_path):
-        write_artifact(
-            tmp_path / "fig1.json",
-            [
-                perf_record("points", 1_000, 1.0, suite="fig1", engine="cycle"),
-                perf_record("points", 1_000, 0.5, suite="fig1", engine="event"),
-                # Bench-only variants may dominate the matrix but are not
-                # runnable engines, so the policy must never pick them.
-                perf_record("points", 1_000, 0.001, suite="fig1", engine="naive"),
-            ],
-            mtime=1_000,
-        )
-        return EnginePolicy.from_results(tmp_path)
-
-    def test_choose_picks_the_measured_best_registered_engine(self, tmp_path):
-        decision = self.policy(tmp_path).choose("points")
-        assert decision.engine == "event"
-        assert decision.measured
-        assert "2,000" in decision.reason and "points" in decision.reason
-
-    def test_choose_matches_suite_namespaced_series(self, tmp_path):
-        policy = self.policy(tmp_path)
-        assert policy.choose("fig1/points").engine == "event"
-        assert policy.choose("points").engine == "event"
-
-    def test_choose_for_suite_with_smoke_fallback(self, tmp_path):
-        policy = self.policy(tmp_path)
-        assert policy.choose_for_suite("fig1").engine == "event"
-        # The smoke variant has no telemetry of its own; it inherits the
-        # full suite's measurements via the fallback chain.
-        decision = policy.choose_for_suite("fig1-smoke", fallback=("fig1",))
-        assert decision.engine == "event" and "fig1" in decision.reason
-
-    def test_falls_back_to_default_with_no_telemetry(self, tmp_path):
-        policy = EnginePolicy.from_results(tmp_path / "empty")
-        for decision in (
-            policy.choose("points"),
-            policy.choose_for_suite("fig1"),
-            policy.overall(),
-        ):
-            assert decision.engine == "cycle"
-            assert not decision.measured
-            assert "falling back" in decision.reason
-
-    def test_same_telemetry_same_choice(self, tmp_path):
-        # --engine auto must be deterministic: two policies over the same
-        # stored telemetry resolve every scenario identically.
-        first = self.policy(tmp_path)
-        second = EnginePolicy.from_results(tmp_path)
-        for scenario in ("points", "fig1/points", "unknown"):
-            assert first.choose(scenario) == second.choose(scenario)
-        assert first.overall() == second.overall()
-
-    def test_decision_unpacks_as_a_resolver_chooser(self, tmp_path):
-        policy = self.policy(tmp_path)
-        engine, reason = resolve_engine_name(
-            AUTO_ENGINE, chooser=lambda: policy.choose("points")
-        )
-        assert engine == "event" and "points" in reason
-
-    def test_resolver_names(self):
-        assert AUTO_ENGINE in selectable_engine_names()
-        assert resolve_engine_name("event") == ("event", "requested explicitly")
-        engine, reason = resolve_engine_name(AUTO_ENGINE)
-        assert engine == "cycle" and "falling back" in reason
-        with pytest.raises(ValueError):
-            resolve_engine_name("warp")
-        decision = EngineDecision(engine="event", reason="because")
-        assert tuple(decision) == ("event", "because")
-
-
 class TestLiveTaps:
     def test_scenario_epoch_rows_are_deterministic_sans_wall_clock(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -371,24 +116,20 @@ class TestLiveTaps:
         assert all(row["source"] == "epoch" for row in rows_a)
         assert diff_payloads(rows_a, rows_b, ignore=WALL_CLOCK_FIELDS) == []
 
-    def test_suite_tap_reingested_reproduces_the_trend_table(self, tmp_path):
+    def test_suite_tap_perf_rows_match_the_outcome_records(self, tmp_path):
         tap = tmp_path / "suite.jsonl"
         with TelemetrySink(tap) as sink:
             outcome = run_suite("fig1-smoke", telemetry=sink)
         rows = read_telemetry(tap)
         assert {row["source"] for row in rows} == {"subtrial", "perf"}
-        # The perf rows round-trip bit for bit: the trend built from the tap
-        # equals the trend built from the in-memory records.
-        from_tap = build_trend_report(tap)
-        in_memory = TrendReport.from_artifacts([(str(tap), outcome.records)])
-        assert [
-            (series.scenario, series.engine, series.samples)
-            for series in from_tap.series
-        ] == [
-            (series.scenario, series.engine, series.samples)
-            for series in in_memory.series
-        ]
-        assert len(from_tap.series) == len(outcome.records)
+        # One perf row per unit record, and every field the tap schema
+        # carries round-trips bit for bit.
+        perf_rows = [row for row in rows if row["source"] == "perf"]
+        assert len(perf_rows) == len(outcome.records)
+        for row, record in zip(perf_rows, outcome.records):
+            assert {key: row[key] for key in record if key in TELEMETRY_FIELDS} == {
+                key: value for key, value in record.items() if key in TELEMETRY_FIELDS
+            }
 
     def test_suite_tap_csv_matches_jsonl_rows(self, tmp_path):
         source = tmp_path / "tap.jsonl"

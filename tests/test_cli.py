@@ -62,19 +62,21 @@ class TestParser:
             parser.parse_args(["suite", "run", "fig1", "--engine", "event"]).engine
             == "event"
         )
-        assert parser.parse_args(["bench", "--engine", "event"]).engine == "event"
 
-    def test_engine_auto_parses_on_every_runner(self):
-        parser = cli.build_parser()
-        assert parser.parse_args(["sweep", "--engine", "auto"]).engine == "auto"
-        assert (
-            parser.parse_args(["scenarios", "run", "u", "--engine", "auto"]).engine
-            == "auto"
-        )
-        assert (
-            parser.parse_args(["suite", "run", "fig1", "--engine", "auto"]).engine
-            == "auto"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rates", "0.05", "--cycles", "100"],
+            ["scenarios", "run", "uniform", "--epochs", "1", "--epoch-cycles", "50"],
+            ["train", "--preset", "small", "--episodes", "1"],
+            ["serve", "--port", "0", "--once"],
+        ],
+    )
+    def test_engine_auto_is_rejected_on_every_runner(self, argv, capsys):
+        assert cli.main([*argv, "--engine", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown engine: auto" in err
+        assert "known: cycle, event, flow)" in err
 
     def test_telemetry_flags_parse_everywhere(self):
         parser = cli.build_parser()
@@ -95,30 +97,6 @@ class TestParser:
             ).telemetry
             == "tap.csv"
         )
-
-    def test_perf_report_arguments(self):
-        parser = cli.build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["perf"])  # subcommand required
-        args = parser.parse_args(["perf", "report"])
-        assert args.command == "perf"
-        assert args.perf_command == "report"
-        assert args.results.endswith("results")
-        assert args.baselines == []
-        assert args.format == "text"
-        args = parser.parse_args(
-            [
-                "perf", "report", "--results", "/tmp/r",
-                "--baseline", "a.json", "--baseline", "b/",
-                "--format", "json", "--json", "out.json", "--tolerance", "0.5",
-            ]
-        )
-        assert args.results == "/tmp/r"
-        assert args.baselines == ["a.json", "b/"]
-        assert args.format == "json"
-        assert args.json_path == "out.json"
-        assert args.tolerance == 0.5
-
 
 class TestSweepCommand:
     def test_prints_series(self, capsys):
@@ -286,11 +264,7 @@ class TestSuiteCommand:
         assert cli.main(["suite", "diff", str(a), str(tmp_path / "nope.json")]) == 2
         assert "no such artefact" in capsys.readouterr().err
 
-    def test_run_check_requires_baseline(self, capsys):
-        assert cli.main(["suite", "run", "fig1-smoke", "--check"]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_run_smoke_writes_artifacts_and_passes_self_check(self, capsys, tmp_path):
+    def test_run_smoke_writes_artifacts(self, capsys, tmp_path):
         import json
 
         out_dir = tmp_path / "results"
@@ -298,36 +272,10 @@ class TestSuiteCommand:
         assert code == 0
         output = capsys.readouterr().out
         assert "fig1-smoke" in output
-        combined = json.loads((out_dir / "suites.json").read_text())
-        assert combined["suites"] == ["fig1-smoke"]
-        assert (out_dir / "fig1-smoke.json").exists()
-        # A back-to-back rerun against the artefact we just wrote must pass
-        # (tiny tolerance: wall clocks on a busy test host are noisy).
-        code = cli.main(
-            ["suite", "run", "fig1-smoke", "--repeats", "2", "--check",
-             "--baseline", str(out_dir / "suites.json"), "--tolerance", "0.01"]
-        )
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_run_check_flags_regressions(self, capsys, tmp_path):
-        import json
-
-        from repro.exp.bench import perf_record
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "runs": [
-                perf_record("turbo", 1000, 1e-12, suite="fig1-smoke"),
-                perf_record("powersave", 1000, 1e-12, suite="fig1-smoke"),
-            ]
-        }))
-        code = cli.main(
-            ["suite", "run", "fig1-smoke", "--check", "--baseline", str(baseline)]
-        )
-        assert code == 3
-        assert "regression" in capsys.readouterr().out
-
+        payload = json.loads((out_dir / "fig1-smoke.json").read_text())
+        assert payload["suite"] == "fig1-smoke"
+        assert payload["runs"]  # perf records ride along as information
+        assert not (out_dir / "suites.json").exists()
 
 class TestEvaluateAndCompareCommands:
     def test_evaluate_named_baseline(self, capsys, monkeypatch):
@@ -450,86 +398,6 @@ class TestTrainCommand:
         assert "does not fit preset" in capsys.readouterr().err
 
 
-class TestPerfReportCommand:
-    def _seed_results(self, root, *, fast_engine="event"):
-        import json
-
-        from repro.exp.bench import perf_record
-
-        results = root / "benchmarks" / "results"
-        results.mkdir(parents=True)
-        slow = 1.0 if fast_engine == "event" else 0.25
-        (results / "hotpath.json").write_text(
-            json.dumps(
-                {
-                    "runs": [
-                        perf_record("uniform", 1_000, slow, engine="cycle"),
-                        perf_record("uniform", 1_000, 1.25 - slow, engine="event"),
-                    ]
-                }
-            )
-        )
-        return results
-
-    def test_report_over_committed_artifacts_is_crash_free(self, capsys):
-        from pathlib import Path
-
-        results = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-        assert cli.main(["perf", "report", "--results", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "Throughput trend" in out
-        assert "win/loss matrix" in out
-        assert "perf trend:" in out
-
-    def test_report_json_format_and_file(self, capsys, tmp_path):
-        import json
-
-        results = self._seed_results(tmp_path)
-        report_path = tmp_path / "report.json"
-        code = cli.main(
-            [
-                "perf", "report", "--results", str(results),
-                "--format", "json", "--json", str(report_path),
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)  # stdout stays machine-readable
-        assert payload["winners"] == {"uniform": "event"}
-        assert "full report written" in captured.err
-        assert json.loads(report_path.read_text()) == payload
-
-    def test_report_with_baseline_orders_it_oldest(self, capsys, tmp_path):
-        import json
-
-        from repro.exp.bench import perf_record
-
-        results = self._seed_results(tmp_path)
-        baseline = tmp_path / "ci-baseline.json"
-        baseline.write_text(
-            json.dumps({"runs": [perf_record("uniform", 1_000, 0.5, engine="cycle")]})
-        )
-        code = cli.main(
-            [
-                "perf", "report", "--results", str(results),
-                "--baseline", str(baseline), "--format", "json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sources"][0] == str(baseline)
-        (cycle_row,) = [
-            row for row in payload["trend"] if row["engine"] == "cycle"
-        ]
-        assert cycle_row["samples"] == 2
-
-    def test_empty_results_directory_reports_nothing_without_failing(
-        self, capsys, tmp_path
-    ):
-        assert cli.main(["perf", "report", "--results", str(tmp_path)]) == 0
-        assert "nothing to report" in capsys.readouterr().out
-
-
 class TestTelemetryFlag:
     def test_scenarios_run_streams_epoch_and_perf_rows(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
@@ -548,7 +416,7 @@ class TestTelemetryFlag:
         assert [row["source"] for row in rows] == ["epoch", "epoch", "perf"]
         assert all(row["scenario"] == "uniform" for row in rows)
 
-    def test_suite_run_tap_reingests_into_perf_report(self, capsys, tmp_path):
+    def test_suite_run_streams_subtrial_and_perf_rows(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
 
         tap = tmp_path / "tap.jsonl"
@@ -556,9 +424,7 @@ class TestTelemetryFlag:
         assert "telemetry:" in capsys.readouterr().out
         rows = read_telemetry(tap)
         assert {row["source"] for row in rows} == {"subtrial", "perf"}
-        assert cli.main(["perf", "report", "--results", str(tap)]) == 0
-        out = capsys.readouterr().out
-        assert "fig1-smoke/" in out and "Throughput trend" in out
+        assert all(row["suite"] == "fig1-smoke" for row in rows)
 
     def test_sweep_streams_perf_rows(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
@@ -577,135 +443,25 @@ class TestTelemetryFlag:
         assert {row["rate"] for row in rows} == {0.05, 0.2}
 
 
-class TestEngineAuto:
-    def test_suite_auto_without_telemetry_logs_the_cycle_fallback(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)  # no benchmarks/results here
-        code = cli.main(["suite", "run", "fig1-smoke", "--engine", "auto"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "engine auto: suite fig1-smoke -> cycle" in out
-        assert "falling back to 'cycle'" in out
+class TestRemovedPerfSurfaces:
+    """Entry points of the deleted perf stack fail with argparse's exit 2."""
 
-    def test_sweep_auto_follows_the_measured_winner(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.exp.bench import perf_record
-
-        monkeypatch.chdir(tmp_path)
-        results = tmp_path / "benchmarks" / "results"
-        results.mkdir(parents=True)
-        (results / "hotpath.json").write_text(
-            json.dumps(
-                {
-                    "runs": [
-                        perf_record("uniform", 1_000, 1.0, engine="cycle"),
-                        perf_record("uniform", 1_000, 0.25, engine="event"),
-                    ]
-                }
-            )
-        )
-        code = cli.main(
-            ["sweep", "--rates", "0.05", "--cycles", "300", "--engine", "auto"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "engine auto: sweep -> event" in out
-        assert "beat {cycle}" in out
-
-    def test_scenarios_auto_decides_per_scenario(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        from repro.exp.bench import perf_record
-
-        monkeypatch.chdir(tmp_path)
-        results = tmp_path / "benchmarks" / "results"
-        results.mkdir(parents=True)
-        (results / "hotpath.json").write_text(
-            json.dumps(
-                {
-                    "runs": [
-                        perf_record("uniform", 1_000, 1.0, engine="cycle"),
-                        perf_record("uniform", 1_000, 0.25, engine="event"),
-                    ]
-                }
-            )
-        )
-        code = cli.main(
-            [
-                "scenarios", "run", "uniform", "hotspot",
-                "--epochs", "1", "--epoch-cycles", "120",
-                "--engine", "auto",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # uniform has telemetry and follows it; hotspot has none and says so.
-        assert "engine auto: scenario uniform -> event" in out
-        assert "engine auto: scenario hotspot -> cycle" in out
-        assert "falling back to 'cycle'" in out
-
-
-class TestBenchCommand:
-    def test_parser_defaults(self):
-        args = cli.build_parser().parse_args(["bench"])
-        assert args.command == "bench"
-        assert "powersave-idle" in args.scenarios
-        assert args.repeats == 3
-        assert args.json_path is None
-
-    def test_unknown_scenario_rejected(self, capsys):
-        exit_code = cli.main(["bench", "--scenarios", "no-such-scenario"])
-        assert exit_code == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_unknown_engine_rejected_with_suggestion(self, capsys):
-        exit_code = cli.main(["bench", "--engine", "cylce"])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "unknown engine" in err and "did you mean: cycle?" in err
-
-    def test_bench_event_engine_variant(self, capsys):
-        exit_code = cli.main(
-            [
-                "bench", "--scenarios", "powersave-idle",
-                "--epochs", "1", "--epoch-cycles", "120",
-                "--repeats", "1", "--engine", "event",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "event" in output
-        assert "telemetry ok" in output
-
-    def test_bench_prints_table_and_writes_json(self, capsys, tmp_path):
-        json_path = tmp_path / "hotpath.json"
-        exit_code = cli.main(
-            [
-                "bench",
-                "--scenarios",
-                "powersave-idle",
-                "--epochs",
-                "1",
-                "--epoch-cycles",
-                "120",
-                "--repeats",
-                "1",
-                "--json",
-                str(json_path),
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "cycles_per_s" in output
-        assert "telemetry ok" in output
-        import json as json_module
-
-        payload = json_module.loads(json_path.read_text())
-        assert payload["telemetry_equivalent"] == {"powersave-idle": True}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["bench", "--scenarios", "powersave-idle", "--repeats", "1"],
+            ["perf", "report"],
+            ["suite", "run", "fig1-smoke", "--check"],
+            ["suite", "run", "fig1-smoke", "--baseline", "suites.json"],
+            ["suite", "run", "fig1-smoke", "--tolerance", "0.5"],
+            ["suite", "run", "fig1-smoke", "--repeats", "3"],
+        ],
+    )
+    def test_removed_commands_and_flags_exit_two(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestSuiteFaultTolerance:
