@@ -134,7 +134,7 @@ def load_latency_sweep(
         )
         for rate in injection_rates
     ]
-    return run_trials(measure_sweep_point, trials, jobs=jobs, chunk_size=1)
+    return run_trials(measure_sweep_point, trials, jobs=jobs)
 
 
 def routing_throughput_sweep(
@@ -172,7 +172,7 @@ def routing_throughput_sweep(
         for routing in routing_algorithms
         for rate in injection_rates
     ]
-    points = run_trials(measure_sweep_point, trials, jobs=jobs, chunk_size=1)
+    points = run_trials(measure_sweep_point, trials, jobs=jobs)
     results: dict[str, list[LoadLatencyPoint]] = {}
     per_algorithm = len(injection_rates)
     for index, routing in enumerate(routing_algorithms):

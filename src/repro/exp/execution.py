@@ -1,11 +1,9 @@
 """The unified execution API: one frozen, wire-ready :class:`ExecutionConfig`.
 
-By PR 7 the execution layer had sprawled: :func:`repro.exp.suites.run_suite`
-alone took 13 keyword knobs (``jobs``, ``train_jobs``, ``timeout_s``,
-``retries``, ``chaos``, …) and :func:`repro.exp.runner.run_scenarios` /
-:func:`repro.exp.training.train_dqn_sharded` each grew their own overlapping
-subset.  None of that could ship over a socket, which blocked the ROADMAP's
-distributed suite service.  This module is the consolidation:
+:func:`repro.exp.suites.run_suite`, :func:`repro.exp.runner.run_scenarios`
+and :func:`repro.exp.training.train_dqn_sharded` take their execution knobs
+as one ``config=`` value and nothing else, so the same value serves the
+local API and the wire protocol of the distributed suite service:
 
 * :class:`ExecutionConfig` — a frozen dataclass holding every *execution*
   knob (worker counts, engine, eval memoization, the supervision policy
@@ -13,12 +11,8 @@ distributed suite service.  This module is the consolidation:
   (``run_suite(spec, config=...)``) and the wire payload (the broker/worker
   lease protocol of :mod:`repro.exp.service` ships it as JSON via
   :meth:`ExecutionConfig.to_json`).
-* :class:`SupervisionPolicy` — the fault-tolerance knobs (moved here from
-  :mod:`repro.exp.runner`, which re-exports it), so the config module
-  depends only on plain data.
-* :func:`coalesce_execution_config` — the deprecation shim that lets every
-  pre-existing keyword call site keep working: legacy knobs build a config
-  and emit a :class:`DeprecationWarning`.
+* :class:`SupervisionPolicy` — the fault-tolerance knobs, nested in the
+  config, so the config module depends only on plain data.
 
 Environment-bound arguments deliberately stay *out* of the config: an open
 telemetry sink, an output directory or a resume flag describe where a run
@@ -38,8 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 from repro.exp.chaos import ChaosPolicy
@@ -185,70 +178,3 @@ class ExecutionConfig:
     @classmethod
     def from_json(cls, payload: str) -> "ExecutionConfig":
         return cls.from_dict(json.loads(payload))
-
-
-#: Legacy keyword -> how it folds into the config.  ``timeout_s`` and
-#: ``retries`` land inside the nested supervision policy; everything else
-#: maps onto the config field of (almost) the same name.
-_LEGACY_FIELD_KNOBS = {
-    "jobs": "jobs",
-    "train_jobs": "train_jobs",
-    "engine": "engine",
-    "reuse_evals": "reuse_evals",
-    "chaos": "chaos",
-    "supervision": "supervision",
-    "policy": "supervision",
-}
-
-
-def coalesce_execution_config(
-    config: ExecutionConfig | None,
-    *,
-    caller: str,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-    **legacy,
-) -> ExecutionConfig:
-    """Fold pre-``ExecutionConfig`` keyword knobs into one config.
-
-    The deprecation shim behind :func:`repro.exp.suites.run_suite`,
-    :func:`repro.exp.runner.run_scenarios` and
-    :func:`repro.exp.training.train_dqn_sharded`: any legacy knob that is
-    not ``None`` overrides the corresponding field of ``config`` (or of a
-    default config) and emits one :class:`DeprecationWarning` naming every
-    legacy knob used.  Passing only ``config`` — the migrated call shape —
-    warns about nothing.
-    """
-    used = sorted(
-        {name for name, value in legacy.items() if value is not None}
-        | ({"timeout_s"} if timeout_s is not None else set())
-        | ({"retries"} if retries is not None else set())
-    )
-    if not used:
-        return config or ExecutionConfig()
-    unknown = [name for name in legacy if name not in _LEGACY_FIELD_KNOBS]
-    if unknown:
-        raise TypeError(f"{caller}() got unexpected keyword(s): {', '.join(unknown)}")
-    warnings.warn(
-        f"{caller}({', '.join(used)}=...) is deprecated; build an "
-        "ExecutionConfig and pass config=... instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    config = config or ExecutionConfig()
-    overrides = {
-        _LEGACY_FIELD_KNOBS[name]: value
-        for name, value in legacy.items()
-        if value is not None
-    }
-    config = replace(config, **overrides)
-    if timeout_s is not None or retries is not None:
-        supervision = replace(
-            config.supervision,
-            **(
-                ({"timeout_s": timeout_s} if timeout_s is not None else {})
-                | ({"max_retries": retries} if retries is not None else {})
-            ),
-        )
-        config = replace(config, supervision=supervision)
-    return config

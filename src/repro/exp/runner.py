@@ -43,20 +43,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.exp.chaos import ChaosPolicy, execute_chaos_action
-from repro.exp.execution import (
-    ExecutionConfig,
-    SupervisionPolicy,
-    coalesce_execution_config,
-)
+from repro.exp.execution import ExecutionConfig, SupervisionPolicy
 from repro.exp.scenarios import ScenarioResult, get_scenario, run_scenario
 
 __all__ = [
     "SupervisedTrialPool",
-    "SupervisionPolicy",  # re-exported from repro.exp.execution (moved there)
     "TrialExecutionError",
     "TrialFailure",
-    "TrialPool",
-    "default_chunk_size",
     "run_scenarios",
     "run_trials",
     "trial_seed",
@@ -71,13 +64,6 @@ def trial_seed(base_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError("trial indices must be non-negative")
     return (base_seed * 1_000_003 + index * 7_919) % 2**31
-
-
-def default_chunk_size(num_trials: int, jobs: int) -> int:
-    """Chunk so each worker sees ~4 chunks (amortises IPC, keeps balance)."""
-    if num_trials <= 0:
-        return 1
-    return max(1, num_trials // (jobs * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -131,61 +117,20 @@ def _call_with_chaos(worker, trial, chaos_action, in_pool: bool):
     return worker(trial)
 
 
-class TrialPool:
-    """A reusable process pool with :func:`run_trials`' ordering contract.
+class SupervisedTrialPool:
+    """A reusable process pool whose every fan-out path is crash-safe.
 
     Unlike :func:`run_trials` (which builds and tears down an executor per
-    call), a :class:`TrialPool` keeps its worker processes alive across
-    ``run`` calls, which matters for callers that fan out many small rounds —
-    the sharded DQN trainer dispatches one actor round per policy sync and
-    would otherwise pay pool startup on every round.  ``jobs=1`` degrades to
-    a plain in-process loop and spawns nothing.  Use as a context manager
-    (or call :meth:`close`) to release the workers.
-    """
+    call), a pool keeps its worker processes alive across ``run`` calls,
+    which matters for callers that fan out many small rounds — the sharded
+    DQN trainer dispatches one actor round per policy sync and would
+    otherwise pay pool startup on every round.  ``jobs=1`` degrades to a
+    plain in-process loop and spawns nothing.  Use as a context manager (or
+    call :meth:`close`) to release the workers.
 
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.jobs = jobs
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "TrialPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            # cancel_futures: an exception mid-suite must not block close()
-            # on queued trials draining through the doomed pool.
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-
-    def run(
-        self,
-        worker: Callable[[TrialT], ResultT],
-        trials: Iterable[TrialT],
-        *,
-        chunk_size: int | None = None,
-    ) -> list[ResultT]:
-        """Run ``worker`` over ``trials``; results come back in trial order."""
-        trial_list = list(trials)
-        if self.jobs == 1 or len(trial_list) <= 1:
-            return [worker(trial) for trial in trial_list]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(trial_list), min(self.jobs, len(trial_list)))
-        return list(self._pool.map(worker, trial_list, chunksize=chunk_size))
-
-
-class SupervisedTrialPool(TrialPool):
-    """A :class:`TrialPool` whose every fan-out path is crash-safe.
-
-    Same ordering and determinism contract as the base pool — on the happy
-    path (no faults, ``jobs=1`` or N) results are bit-identical to an
-    unsupervised run — but each trial is an individually supervised future:
+    Results come back in trial order and, on the happy path (no faults,
+    ``jobs=1`` or N), are bit-identical to a serial loop — but each trial is
+    an individually supervised future:
 
     * an attempt that raises is retried with exponential backoff, up to
       ``policy.max_retries`` retries;
@@ -217,12 +162,28 @@ class SupervisedTrialPool(TrialPool):
         policy: SupervisionPolicy | None = None,
         chaos: ChaosPolicy | None = None,
     ) -> None:
-        super().__init__(jobs)
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        self.jobs = jobs
+        self._pool: ProcessPoolExecutor | None = None
         self.policy = policy or SupervisionPolicy()
         self.chaos = chaos if chaos else None
         self.last_attempts: list[int] = []
         self.rebuilds = 0
         self._serial_fallback = False
+
+    def __enter__(self) -> "SupervisedTrialPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            # cancel_futures: an exception mid-suite must not block close()
+            # on queued trials draining through the doomed pool.
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     # -- worker-side call construction --------------------------------------
 
@@ -297,15 +258,13 @@ class SupervisedTrialPool(TrialPool):
         worker: Callable[[TrialT], ResultT],
         trials: Iterable[TrialT],
         *,
-        chunk_size: int | None = None,
         labels: Sequence[str] | None = None,
         on_result: Callable[[int, ResultT, int], None] | None = None,
         on_failure: str = "raise",
     ) -> list[ResultT]:
         """Run ``worker`` over ``trials`` under supervision, in trial order.
 
-        ``chunk_size`` is accepted for interface compatibility and ignored:
-        supervision is per-trial, so every trial is its own future.
+        Supervision is per-trial, so every trial is its own future.
         ``labels`` names trials for failure reports and chaos addressing
         (default ``trial[<index>]``).  ``on_result(index, result, attempts)``
         fires parent-side as each trial's result lands (completion order,
@@ -331,9 +290,9 @@ class SupervisedTrialPool(TrialPool):
 
         if (self.jobs == 1 or len(trial_list) <= 1) and not self._serial_fallback:
             if self.chaos is None:
-                # The reference path: plain in-process loop, bit-identical to
-                # the unsupervised pool — exceptions propagate raw, no retry
-                # wrapping (an in-process attempt cannot crash the host).
+                # The reference path: plain in-process loop — exceptions
+                # propagate raw, no retry wrapping (an in-process attempt
+                # cannot crash the host).
                 for index, trial in enumerate(trial_list):
                     attempts[index] = 1
                     results[index] = worker(trial)
@@ -556,7 +515,6 @@ def run_trials(
     trials: Iterable[TrialT],
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
     policy: SupervisionPolicy | None = None,
     chaos: ChaosPolicy | None = None,
 ) -> list[ResultT]:
@@ -574,7 +532,7 @@ def run_trials(
     script (tests only).  ``jobs=1`` stays the plain reference loop.
     """
     with SupervisedTrialPool(jobs, policy=policy, chaos=chaos) as pool:
-        return pool.run(worker, trials, chunk_size=chunk_size)
+        return pool.run(worker, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +579,6 @@ def run_scenarios(
     epochs: int | None = None,
     epoch_cycles: int | None = None,
     telemetry=None,
-    jobs: int | None = None,
-    engine: str | None = None,
-    policy: SupervisionPolicy | None = None,
 ) -> list[ScenarioResult]:
     """Run the named scenarios (``repeats`` seeds each), possibly in parallel.
 
@@ -631,9 +586,7 @@ def run_scenarios(
     ``config.jobs`` fans trials over a supervised process pool,
     ``config.engine`` overrides every spec's execution engine (``None``
     keeps each spec's own) and ``config.supervision`` tunes the pool's
-    timeout/retry budget.  The legacy ``jobs=``/``engine=``/``policy=``
-    keywords still work — they build a config and emit a
-    :class:`DeprecationWarning`.
+    timeout/retry budget.
 
     With ``repeats == 1`` every scenario runs at ``seed`` exactly; with more,
     trial ``r`` of a scenario uses ``trial_seed(seed, r)`` so replications are
@@ -650,9 +603,7 @@ def run_scenarios(
     tap is observability, not an artefact; simulated results are unchanged
     either way.
     """
-    config = coalesce_execution_config(
-        config, caller="run_scenarios", jobs=jobs, engine=engine, policy=policy
-    )
+    config = config or ExecutionConfig()
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     # Ship the full spec (not just the name) so runtime-registered scenarios

@@ -573,7 +573,6 @@ class SuiteBroker:
                 if self._book is not None:
                     lease = self._book.grant(worker_id)
                     if lease is not None:
-                        kind, params = lease.subtrial
                         return {
                             "type": "lease",
                             "lease_id": lease.lease_id,
@@ -581,7 +580,7 @@ class SuiteBroker:
                             "label": lease.label,
                             "attempt": lease.attempt,
                             "timeout_s": lease.timeout_s,
-                            "subtrial": [kind, params],
+                            "subtrial": lease.subtrial.to_wire(),
                         }
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -824,7 +823,6 @@ class ServiceWorker:
                 # and the subtrial is stolen; the late result below is then
                 # discarded (first-wins).
                 time.sleep(stall_s)
-        subtrial = Subtrial.from_wire(lease["subtrial"])
         stop_heartbeat = threading.Event()
         heartbeat = None
         timeout_s = lease.get("timeout_s")
@@ -844,7 +842,9 @@ class ServiceWorker:
             heartbeat = threading.Thread(target=_beat, daemon=True)
             heartbeat.start()
         try:
-            payload = run_suite_subtrial(subtrial)
+            # Decoded inside the try: a malformed lease comes back as a
+            # trial-error frame instead of killing the worker.
+            payload = run_suite_subtrial(Subtrial.from_wire(lease["subtrial"]))
         except Exception as exc:
             stop_heartbeat.set()
             self._send(

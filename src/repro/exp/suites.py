@@ -35,7 +35,6 @@ import hashlib
 import json
 import pickle
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -55,9 +54,8 @@ from repro.core.training import (
     train_dqn_controller,
     train_tabular_controller,
 )
-from repro.exp.chaos import ChaosPolicy
-from repro.exp.execution import ExecutionConfig, coalesce_execution_config
-from repro.exp.runner import SupervisedTrialPool, SupervisionPolicy, trial_seed
+from repro.exp.execution import ExecutionConfig
+from repro.exp.runner import SupervisedTrialPool, trial_seed
 from repro.exp.telemetry import NONDETERMINISTIC_FIELDS
 from repro.exp.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.exp.training import train_dqn_sharded
@@ -369,14 +367,10 @@ SUBTRIAL_KINDS = ("sweep", "scenario", "eval", "train-eval")
 class Subtrial:
     """One expanded, picklable unit of suite work: a kind plus its params.
 
-    This is the typed form of the historical ``(kind, params)`` tuple that
-    rides everywhere a subtrial travels — the pool path
+    It rides everywhere a subtrial travels — the pool path
     (:func:`run_suite_subtrial`) and the service's lease payload
-    (:meth:`to_wire`/:meth:`from_wire` frame the JSON shape).  It still
-    unpacks like the tuple (``kind, params = subtrial``) so wire codecs
-    stay one line, and the
-    public entry points accept the legacy tuple behind a
-    :class:`DeprecationWarning` (:meth:`coerce`).
+    (:meth:`to_wire`/:meth:`from_wire` frame the JSON ``[kind, params]``
+    shape).
 
     ``key`` is the subtrial's content address: a hash of everything its
     outcome depends on, with any embedded agent payload replaced by its
@@ -398,11 +392,6 @@ class Subtrial:
         # Params stay a plain dict (picklable, wire-framable); the copy
         # keeps the frozen value insulated from caller-side mutation.
         object.__setattr__(self, "params", dict(self.params))
-
-    def __iter__(self):
-        """Unpack like the legacy tuple: ``kind, params = subtrial``."""
-        yield self.kind
-        yield self.params
 
     @property
     def key(self) -> str:
@@ -427,38 +416,27 @@ class Subtrial:
 
     @classmethod
     def from_wire(cls, payload: Sequence) -> "Subtrial":
-        """Rebuild from :meth:`to_wire` output (or the legacy tuple shape)."""
-        kind, params = payload
-        return cls(kind, params)
+        """Rebuild from :meth:`to_wire` output: a 2-item ``[str, Mapping]``.
 
-    @classmethod
-    def coerce(cls, value: "Subtrial | tuple", *, caller: str) -> "Subtrial":
-        """Accept a :class:`Subtrial`, or a legacy tuple with a warning."""
-        if isinstance(value, cls):
-            return value
-        warnings.warn(
-            f"{caller}() with a (kind, params) tuple is deprecated; "
-            "pass a Subtrial instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return cls.from_wire(value)
-
-
-def subtrial_key(subtrial: "Subtrial | tuple") -> str:
-    """Content address of one expanded subtrial (see :attr:`Subtrial.key`).
-
-    Kept as the journal's public keying function; legacy ``(kind, params)``
-    tuples still work behind a :class:`DeprecationWarning`.
-    """
-    return Subtrial.coerce(subtrial, caller="subtrial_key").key
+        Any other shape is a ``ValueError`` (as is an unknown kind).
+        """
+        if (
+            not isinstance(payload, (list, tuple))
+            or len(payload) != 2
+            or not isinstance(payload[0], str)
+            or not isinstance(payload[1], Mapping)
+        ):
+            raise ValueError(
+                f"a wire subtrial is a [kind, params] pair, got {payload!r}"
+            )
+        return cls(payload[0], payload[1])
 
 
 class SuiteJournal:
     """Append-only completion log: one JSONL row per finished subtrial.
 
     Lives at ``<out_dir>/<suite>.journal.jsonl`` next to the artefact.
-    Every row carries the subtrial's content key (:func:`subtrial_key`),
+    Every row carries the subtrial's content key (:attr:`Subtrial.key`),
     its unit/kind, the supervised pool's attempt count, a ``generated_at``
     stamp and the full payload — and is flushed the moment the subtrial
     lands, so a killed run (OOM, SIGKILL, Ctrl-C) loses at most the
@@ -719,13 +697,8 @@ _SUBTRIAL_WORKERS = {
 }
 
 
-def run_suite_subtrial(subtrial: "Subtrial | tuple") -> dict:
-    """Dispatch one expanded subtrial (module-level so it pickles).
-
-    Accepts the typed :class:`Subtrial`; the legacy ``(kind, params)``
-    tuple still works behind a :class:`DeprecationWarning`.
-    """
-    subtrial = Subtrial.coerce(subtrial, caller="run_suite_subtrial")
+def run_suite_subtrial(subtrial: Subtrial) -> dict:
+    """Dispatch one expanded subtrial (module-level so it pickles)."""
     return _SUBTRIAL_WORKERS[subtrial.kind](subtrial.params)
 
 
@@ -870,25 +843,15 @@ def run_suite(
     telemetry=None,
     resume: bool = False,
     workers: str | None = None,
-    jobs: int | None = None,
-    train_jobs: int | None = None,
-    reuse_evals: bool | None = None,
-    engine: str | None = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-    chaos: ChaosPolicy | None = None,
     _dispatch=None,
 ) -> SuiteOutcome:
     """Run every unit of ``spec``, fanning subtrials over one process pool.
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`
-    — every knob that shapes *execution* in one frozen, serializable value.
-    The legacy keywords (``jobs``, ``train_jobs``, ``reuse_evals``,
-    ``engine``, ``timeout_s``, ``retries``, ``chaos``) still work: they
-    fold into a config and emit a :class:`DeprecationWarning`.  What stays
-    a keyword is the environment — ``out_dir``, ``telemetry``, ``resume``,
-    ``workers`` describe where the run happens, not what it computes, and
-    never cross a socket.
+    — every knob that shapes *execution* in one frozen, serializable value,
+    and the only way to pass one.  What stays a keyword is the environment
+    — ``out_dir``, ``telemetry``, ``resume``, ``workers`` describe where the
+    run happens, not what it computes, and never cross a socket.
 
     ``config.jobs`` parallelises the suite's subtrials (simulated outcomes
     are identical for any value); ``config.train_jobs`` is handed to the
@@ -928,10 +891,11 @@ def run_suite(
     segfault, SIGKILL) rebuilds the pool and retries only the unfinished
     subtrials, and a poison subtrial is quarantined into a
     :class:`repro.exp.runner.TrialExecutionError` after its siblings
-    settle.  ``timeout_s`` bounds one subtrial attempt's wall clock;
-    ``retries`` overrides the default retry budget (2).  ``chaos`` injects
-    a deterministic fault script (tests/CI only) — by the determinism
-    contract a chaos-ridden run's artefact is identical to a clean run's.
+    settle.  ``config.supervision.timeout_s`` bounds one subtrial
+    attempt's wall clock and ``config.supervision.max_retries`` sets the
+    retry budget (default 2).  ``config.chaos`` injects a deterministic
+    fault script (tests/CI only) — by the determinism contract a
+    chaos-ridden run's artefact is identical to a clean run's.
 
     Resume: with ``out_dir``, every completed subtrial is journaled to
     ``<out_dir>/<suite>.journal.jsonl`` as it lands (flushed row by row;
@@ -942,17 +906,7 @@ def run_suite(
     combined artefact.  A ``KeyboardInterrupt`` leaves the journal
     flushed and consistent.
     """
-    config = coalesce_execution_config(
-        config,
-        caller="run_suite",
-        timeout_s=timeout_s,
-        retries=retries,
-        jobs=jobs,
-        train_jobs=train_jobs,
-        reuse_evals=reuse_evals,
-        engine=engine,
-        chaos=chaos,
-    )
+    config = config or ExecutionConfig()
     if isinstance(spec, str):
         spec = get_suite(spec)
     if workers is not None:

@@ -5,11 +5,12 @@ interleaves environment rollout and gradient descent in one loop, which
 caps training throughput at a single core.  This module splits the two
 roles the way distributed DQN implementations do:
 
-* **Actors** — ``jobs`` worker processes.  Each actor task runs one rollout
-  episode against its *own* :class:`~repro.core.environment.NoCConfigEnv`,
-  choosing actions epsilon-greedily from a broadcast snapshot of the online
-  network, and ships the episode's transition batch back to the parent in
-  the compact :func:`~repro.rl.replay.pack_transitions` wire format.
+* **Actors** — ``train_jobs`` worker processes.  Each actor task runs one
+  rollout episode against its *own*
+  :class:`~repro.core.environment.NoCConfigEnv`, choosing actions
+  epsilon-greedily from a broadcast snapshot of the online network, and
+  ships the episode's transition batch back to the parent in the compact
+  :func:`~repro.rl.replay.pack_transitions` wire format.
 * **Learner** — the parent process.  It feeds returned transitions (in
   episode order) through the one true ``DQNAgent`` — the existing
   :class:`~repro.rl.replay.ReplayBuffer`/``PrioritizedReplayBuffer`` and
@@ -17,21 +18,21 @@ roles the way distributed DQN implementations do:
   and train-interval bookkeeping behave exactly as in serial training.
 * **Policy broadcast** — actors run against a possibly stale weight
   snapshot; the snapshot is refreshed from the learner every
-  ``sync_interval`` rounds (one round = ``jobs * episodes_per_task``
+  ``sync_interval`` rounds (one round = ``train_jobs * episodes_per_task``
   episodes; each :class:`ActorBatchTask` ships the snapshot once for its
   whole episode batch).
 
 RNG-order contract (same discipline as the PR 2 engine toggles):
 
-* ``jobs=1`` runs the *exact* serial loop — same environment factory, same
-  agent, same call order — and is bit-identical to
+* ``train_jobs=1`` runs the *exact* serial loop — same environment
+  factory, same agent, same call order — and is bit-identical to
   ``train_dqn_controller`` (timing fields excluded).
-* ``jobs>=2`` derives every random stream from the episode index alone:
-  episode ``e`` rolls out on an environment seeded with
+* ``train_jobs>=2`` derives every random stream from the episode index
+  alone: episode ``e`` rolls out on an environment seeded with
   ``trial_seed(seed, e)``, explores with an RNG seeded
   ``trial_seed(seed + 1, e)``, and evaluates the epsilon schedule at global
   step ``e * steps_per_episode + t``.  Results therefore depend only on
-  ``(episodes, jobs, sync_interval, config)`` — never on process
+  ``(episodes, train_jobs, sync_interval, config)`` — never on process
   scheduling — and repeated runs are identical.
 
 Resume: :func:`train_dqn_sharded` accepts a ``resume_from``
@@ -39,14 +40,14 @@ Resume: :func:`train_dqn_sharded` accepts a ``resume_from``
 :mod:`repro.core.checkpoint`).  With the checkpoint's full training state
 (optimizer slots, exploration RNG, replay buffer) restored, the continued
 run reproduces the uninterrupted run's tail bit for bit; sharded resumes
-must restart at a round boundary (``episodes_trained % jobs == 0``) and, for
-``sync_interval > 1``, at a sync boundary.
+must restart at a round boundary (``episodes_trained % train_jobs == 0``)
+and, for ``sync_interval > 1``, at a sync boundary.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,9 +59,8 @@ from repro.core.training import (
     record_training_timing,
     run_training_episode,
 )
-from repro.exp.chaos import ChaosPolicy
-from repro.exp.execution import ExecutionConfig, coalesce_execution_config
-from repro.exp.runner import SupervisedTrialPool, SupervisionPolicy, trial_seed
+from repro.exp.execution import ExecutionConfig
+from repro.exp.runner import SupervisedTrialPool, trial_seed
 from repro.rl.agent import Transition
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.replay import pack_transitions, unpack_transitions
@@ -237,22 +237,17 @@ def train_dqn_sharded(
     episodes: int = 30,
     *,
     config: ExecutionConfig | None = None,
-    jobs: int | None = None,
     sync_interval: int = 1,
     episodes_per_task: int = 1,
     dqn_config: DQNConfig | None = None,
     resume_from: TrainingResult | None = None,
-    supervision: SupervisionPolicy | None = None,
-    chaos: ChaosPolicy | None = None,
     **dqn_overrides,
 ) -> TrainingResult:
     """Train a DQN controller on ``experiment``, sharding rollouts over actors.
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`;
     this function reads its ``train_jobs`` (the actor count — part of the
-    RNG contract for ``>= 2``), ``supervision`` and ``chaos`` fields.  The
-    legacy ``jobs=``/``supervision=``/``chaos=`` keywords still work but
-    emit a :class:`DeprecationWarning`.
+    RNG contract for ``>= 2``), ``supervision`` and ``chaos`` fields.
 
     ``episodes`` is the *total* target episode count; with ``resume_from``
     the engine trains only the remaining ``episodes - resume_from.episodes``
@@ -263,29 +258,26 @@ def train_dqn_sharded(
     broadcasts learner weights every ``sync_interval`` rounds.
 
     ``episodes_per_task`` batches that many episodes onto each actor task
-    (one round = ``jobs * episodes_per_task`` episodes), amortising the
-    per-task weight broadcast on spawn-start platforms; 1 preserves the
-    historical one-episode-per-task rounds exactly.  Like ``jobs`` and
+    (one round = ``train_jobs * episodes_per_task`` episodes), amortising
+    the per-task weight broadcast on spawn-start platforms; 1 preserves the
+    historical one-episode-per-task rounds exactly.  Like ``train_jobs`` and
     ``sync_interval`` it is part of the RNG-order contract: results depend
     on the round structure, never on process scheduling.
 
     The actor pool is supervised: a lost or crashed worker rebuilds the
     pool and re-dispatches only its own batch's episode indices — every
     random stream derives from the episode index, so the recovered round
-    is bit-exact versus an uninterrupted one.  ``supervision`` tunes the
-    timeout/retry budget; ``chaos`` injects a deterministic fault script
-    (tests only).
+    is bit-exact versus an uninterrupted one.  ``config.supervision`` tunes
+    the timeout/retry budget; ``config.chaos`` injects a deterministic
+    fault script (tests only).
     """
-    config = coalesce_execution_config(
-        config,
-        caller="train_dqn_sharded",
-        train_jobs=jobs,
-        supervision=supervision,
-        chaos=chaos,
-    )
+    unknown = sorted(set(dqn_overrides) - {item.name for item in fields(DQNConfig)})
+    if unknown:
+        # Checked up front: a dqn_config would otherwise swallow a misspelt
+        # keyword without a word.
+        raise TypeError(f"train_dqn_sharded() got unexpected keyword(s): {', '.join(unknown)}")
+    config = config or ExecutionConfig()
     jobs = config.train_jobs
-    supervision = config.supervision
-    chaos = config.chaos
     if episodes < 1:
         raise ValueError("episodes must be positive")
     if sync_interval < 1:
@@ -329,7 +321,7 @@ def train_dqn_sharded(
     round_index = start_episode // round_size
     broadcast_state: dict | None = None
     start = time.perf_counter()
-    with SupervisedTrialPool(jobs, policy=supervision, chaos=chaos) as pool:
+    with SupervisedTrialPool(jobs, policy=config.supervision, chaos=config.chaos) as pool:
         episode = start_episode
         while episode < episodes:
             if broadcast_state is None or round_index % sync_interval == 0:

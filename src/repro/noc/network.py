@@ -12,9 +12,8 @@ The facade preserves the historical ``NoCSimulator`` API: construction,
 routing / VC / fault reconfiguration surface, and the engine toggles
 (``activity_tracking``, ``idle_fast_path``) and observability counters
 (``idle_cycles``, ``skipped_router_steps``).  Code that needs the layers
-directly should use ``simulator.model`` and ``simulator.engine``; reaching
-for a private attribute through the facade still works but raises a
-``DeprecationWarning``.
+directly should use ``simulator.model`` and ``simulator.engine``; a private
+attribute is not forwarded through the facade (``AttributeError``).
 
 ``SimulatorConfig`` and the ``TrafficSource`` protocol now live in
 :mod:`repro.noc.model` and are re-exported here unchanged.
@@ -22,7 +21,6 @@ for a private attribute through the facade still works but raises a
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 from repro.noc.model import NoCModel, SimulatorConfig, TrafficSource
@@ -210,21 +208,19 @@ class NoCSimulator:
         return self.model.buffered_flits
 
     # ------------------------------------------------------------------
-    # transparent forwarding (mutable toggles + deprecated internals)
+    # transparent forwarding (mutable toggles + counters)
     # ------------------------------------------------------------------
 
     def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: forward to the model so the
-        # pre-split surface (toggles, counters, private state) keeps working.
+        # Only reached when normal lookup fails: forward public names to the
+        # model so the pre-split surface (toggles, counters) keeps working.
         if name in ("model", "engine"):  # guard partially-initialised instances
             raise AttributeError(name)
         if name.startswith("_") and not name.startswith("__"):
-            warnings.warn(
-                f"accessing NoCSimulator.{name} through the facade is deprecated; "
+            raise AttributeError(
+                f"NoCSimulator does not forward private attribute {name!r}; "
                 "use NoCSimulator.model (state/phases) or NoCSimulator.engine "
-                "(execution loop) directly",
-                DeprecationWarning,
-                stacklevel=2,
+                "(execution loop) directly"
             )
         return getattr(self.model, name)
 

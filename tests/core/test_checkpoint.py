@@ -7,8 +7,13 @@ import pytest
 
 from repro.core import ExperimentConfig, TrafficSpec, checkpoint, train_dqn_controller
 from repro.core.training import TrainingResult, train_tabular_controller
+from repro.exp.execution import ExecutionConfig
 from repro.exp.training import train_dqn_sharded
 from repro.rl.dqn import DQNAgent
+
+
+def actors(count: int) -> ExecutionConfig:
+    return ExecutionConfig(train_jobs=count)
 
 
 @pytest.fixture(scope="module")
@@ -155,23 +160,31 @@ class TestResumeRoundTrip:
         assert full.agent.train_steps == resumed.agent.train_steps
 
     def test_jobs1_resume_matches_uninterrupted(self, resume_experiment, tmp_path):
-        full = train_dqn_sharded(resume_experiment, episodes=4, jobs=1, **self.TRAIN_KWARGS)
-        head = train_dqn_sharded(resume_experiment, episodes=2, jobs=1, **self.TRAIN_KWARGS)
+        full = train_dqn_sharded(
+            resume_experiment, episodes=4, config=actors(1), **self.TRAIN_KWARGS
+        )
+        head = train_dqn_sharded(
+            resume_experiment, episodes=2, config=actors(1), **self.TRAIN_KWARGS
+        )
         path = checkpoint.save_dqn_checkpoint(head, tmp_path / "ckpt")
         restored = checkpoint.load_dqn_checkpoint(path)
         resumed = train_dqn_sharded(
-            resume_experiment, episodes=4, jobs=1, resume_from=restored
+            resume_experiment, episodes=4, config=actors(1), resume_from=restored
         )
         self._assert_same_outcome(full, resumed)
 
     @pytest.mark.slow
     def test_jobs2_resume_matches_uninterrupted(self, resume_experiment, tmp_path):
-        full = train_dqn_sharded(resume_experiment, episodes=4, jobs=2, **self.TRAIN_KWARGS)
-        head = train_dqn_sharded(resume_experiment, episodes=2, jobs=2, **self.TRAIN_KWARGS)
+        full = train_dqn_sharded(
+            resume_experiment, episodes=4, config=actors(2), **self.TRAIN_KWARGS
+        )
+        head = train_dqn_sharded(
+            resume_experiment, episodes=2, config=actors(2), **self.TRAIN_KWARGS
+        )
         path = checkpoint.save_dqn_checkpoint(head, tmp_path / "ckpt")
         restored = checkpoint.load_dqn_checkpoint(path)
         resumed = train_dqn_sharded(
-            resume_experiment, episodes=4, jobs=2, resume_from=restored
+            resume_experiment, episodes=4, config=actors(2), resume_from=restored
         )
         self._assert_same_outcome(full, resumed)
 
@@ -179,11 +192,11 @@ class TestResumeRoundTrip:
         self, resume_experiment, tmp_path
     ):
         kwargs = dict(self.TRAIN_KWARGS, prioritized_replay=True)
-        full = train_dqn_sharded(resume_experiment, episodes=4, jobs=1, **kwargs)
-        head = train_dqn_sharded(resume_experiment, episodes=2, jobs=1, **kwargs)
+        full = train_dqn_sharded(resume_experiment, episodes=4, config=actors(1), **kwargs)
+        head = train_dqn_sharded(resume_experiment, episodes=2, config=actors(1), **kwargs)
         path = checkpoint.save_dqn_checkpoint(head, tmp_path / "ckpt")
         restored = checkpoint.load_dqn_checkpoint(path)
         resumed = train_dqn_sharded(
-            resume_experiment, episodes=4, jobs=1, resume_from=restored
+            resume_experiment, episodes=4, config=actors(1), resume_from=restored
         )
         self._assert_same_outcome(full, resumed)

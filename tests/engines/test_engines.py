@@ -128,11 +128,11 @@ class TestFacade:
         assert simulator.cycle == simulator.model.cycle == 5
         assert simulator.idle_cycles == simulator.model.idle_cycles == 0
 
-    def test_private_access_through_the_facade_warns_but_works(self):
+    def test_private_access_through_the_facade_is_an_error(self):
         simulator = NoCSimulator(SimulatorConfig(width=2))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            queues = simulator._source_queues
-        assert queues is simulator.model._source_queues
+        with pytest.raises(AttributeError, match="model"):
+            simulator._source_queues
+        assert simulator.model._source_queues is not None
 
     def test_engine_exposes_telemetry_counters(self):
         simulator = NoCSimulator(SimulatorConfig(width=2, engine="event"))

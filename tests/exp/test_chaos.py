@@ -19,7 +19,8 @@ from repro.exp.chaos import (
     execute_chaos_action,
     parse_chaos_spec,
 )
-from repro.exp.runner import SupervisedTrialPool, SupervisionPolicy
+from repro.exp.execution import SupervisionPolicy
+from repro.exp.runner import SupervisedTrialPool
 
 
 def _triple(x):

@@ -1,11 +1,10 @@
-"""The unified ExecutionConfig API: validation, serialization, shims.
+"""The unified ExecutionConfig API: validation, serialization, call shape.
 
 The config is simultaneously the local API surface (``run_suite(spec,
 config=...)``) and the distributed service's lease payload, so the tests
 pin both halves: value semantics (frozen, hashable, validated) and
 bit-for-bit serialization (JSON for the wire, pickle for process pools),
-plus the deprecation shim that keeps every pre-config keyword call site
-working.
+plus the one call shape: the pre-config execution keywords are gone.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ import pickle
 import pytest
 
 from repro.exp.chaos import ChaosPolicy, ChaosRule
-from repro.exp.execution import (
-    DEFAULT_ENGINE,
-    ExecutionConfig,
-    SupervisionPolicy,
-    coalesce_execution_config,
-)
+from repro.exp.execution import DEFAULT_ENGINE, ExecutionConfig, SupervisionPolicy
 
 
 class TestSupervisionPolicy:
@@ -150,65 +144,51 @@ class TestExecutionConfig:
         )
 
 
-class TestCoalesceExecutionConfig:
-    def test_config_only_passes_through_silently(self, recwarn):
-        config = ExecutionConfig(jobs=4)
-        assert coalesce_execution_config(config, caller="t") is config
-        assert not recwarn.list
-
-    def test_no_arguments_builds_the_default(self, recwarn):
-        assert coalesce_execution_config(None, caller="t") == ExecutionConfig()
-        assert not recwarn.list
-
-    def test_legacy_knobs_override_and_warn_by_name(self):
-        with pytest.warns(DeprecationWarning, match=r"t\(engine, jobs=\.\.\.\)"):
-            config = coalesce_execution_config(
-                None, caller="t", jobs=3, engine="event"
-            )
-        assert config.jobs == 3
-        assert config.engine == "event"
-
-    def test_timeout_and_retries_fold_into_supervision(self):
-        base = ExecutionConfig(
-            supervision=SupervisionPolicy(backoff_s=0.5, max_retries=5)
-        )
-        with pytest.warns(DeprecationWarning):
-            config = coalesce_execution_config(
-                base, caller="t", timeout_s=2.0, retries=0
-            )
-        assert config.supervision.timeout_s == 2.0
-        assert config.supervision.max_retries == 0
-        # Untouched supervision fields survive the fold.
-        assert config.supervision.backoff_s == 0.5
-
-    def test_policy_is_an_alias_for_supervision(self):
-        policy = SupervisionPolicy(timeout_s=7.0)
-        with pytest.warns(DeprecationWarning):
-            config = coalesce_execution_config(None, caller="t", policy=policy)
-        assert config.supervision is policy
-
-    def test_unknown_knob_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            coalesce_execution_config(None, caller="t", workers=2)
-
-    def test_none_valued_legacy_knobs_do_not_warn(self, recwarn):
-        config = ExecutionConfig(jobs=2)
-        out = coalesce_execution_config(
-            config, caller="t", jobs=None, engine=None, timeout_s=None
-        )
-        assert out is config
-        assert not recwarn.list
+#: The pre-config execution keywords, by entry point; each is now an error.
+REMOVED_KEYWORDS = [
+    ("run_suite", "jobs", 2),
+    ("run_suite", "train_jobs", 2),
+    ("run_suite", "reuse_evals", True),
+    ("run_suite", "engine", "event"),
+    ("run_suite", "timeout_s", 5.0),
+    ("run_suite", "retries", 0),
+    ("run_suite", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
+    ("run_scenarios", "jobs", 2),
+    ("run_scenarios", "engine", "event"),
+    ("run_scenarios", "policy", SupervisionPolicy()),
+    ("train_dqn_sharded", "jobs", 2),
+    ("train_dqn_sharded", "supervision", SupervisionPolicy()),
+    ("train_dqn_sharded", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
+]
 
 
-class TestEntryPointShims:
-    """The migrated entry points still accept (and warn on) legacy kwargs."""
-
-    def test_run_suite_legacy_kwargs_warn(self):
+class TestOneCallShape:
+    @pytest.mark.parametrize(
+        "entry, keyword, value",
+        REMOVED_KEYWORDS,
+        ids=[f"{entry}-{keyword}" for entry, keyword, _ in REMOVED_KEYWORDS],
+    )
+    def test_removed_keyword_is_a_type_error(self, entry, keyword, value):
+        from repro.core import ExperimentConfig
+        from repro.exp.runner import run_scenarios
         from repro.exp.suites import run_suite
+        from repro.exp.training import default_experiment_dqn_config, train_dqn_sharded
 
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            outcome = run_suite("fig1-smoke", jobs=1)
-        assert outcome.records
+        experiment = ExperimentConfig.small()
+        calls = {
+            "run_suite": lambda **kwargs: run_suite("fig1-smoke", **kwargs),
+            "run_scenarios": lambda **kwargs: run_scenarios(["uniform"], **kwargs),
+            # With a dqn_config the trainer has no use for leftover keywords,
+            # so only its own check can turn them into a TypeError.
+            "train_dqn_sharded": lambda **kwargs: train_dqn_sharded(
+                experiment,
+                episodes=1,
+                dqn_config=default_experiment_dqn_config(experiment),
+                **kwargs,
+            ),
+        }
+        with pytest.raises(TypeError, match=keyword):
+            calls[entry](**{keyword: value})
 
     def test_run_suite_config_shape_is_silent(self, recwarn):
         from repro.exp.suites import run_suite
@@ -218,18 +198,11 @@ class TestEntryPointShims:
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_legacy_and_config_shapes_agree(self):
-        from repro.exp.suites import run_suite
+    @pytest.mark.parametrize(
+        "name", ["coalesce_execution_config", "TrialPool", "default_chunk_size", "subtrial_key"]
+    )
+    def test_removed_names_are_not_exported(self, name):
+        import repro.exp
 
-        from repro.exp.telemetry import NONDETERMINISTIC_FIELDS
-
-        def stable(records):
-            return [
-                {k: v for k, v in row.items() if k not in NONDETERMINISTIC_FIELDS}
-                for row in records
-            ]
-
-        via_config = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = run_suite("fig1-smoke", jobs=1)
-        assert stable(via_config.records) == stable(via_kwargs.records)
+        assert name not in repro.exp.__all__
+        assert not hasattr(repro.exp, name)

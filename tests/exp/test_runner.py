@@ -6,13 +6,11 @@ import pytest
 
 from repro.analysis.sweep import SweepTrial, load_latency_sweep, measure_sweep_point
 from repro.exp.chaos import ChaosPolicy, ChaosRule
+from repro.exp.execution import ExecutionConfig, SupervisionPolicy
 from repro.exp.runner import (
     SupervisedTrialPool,
-    SupervisionPolicy,
     TrialExecutionError,
     TrialFailure,
-    TrialPool,
-    default_chunk_size,
     run_scenarios,
     run_trials,
     trial_seed,
@@ -46,20 +44,6 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             trial_seed(0, -1)
 
-    def test_default_chunk_size(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(6, 4) == 1
-        assert default_chunk_size(64, 4) == 4
-
-    def test_default_chunk_size_with_more_jobs_than_trials(self):
-        # Oversubscribed pools must still chunk at >= 1, never 0.
-        assert default_chunk_size(2, 8) == 1
-        assert default_chunk_size(1, 16) == 1
-
-    def test_default_chunk_size_with_no_trials(self):
-        assert default_chunk_size(0, 1) == 1
-        assert default_chunk_size(-3, 4) == 1
-
     def test_telemetry_streams_across_parallel_jobs(self):
         # Worker rows cross process boundaries through the manager-queue
         # tap; the parent's drainer feeds this in-process sink.  (The
@@ -72,7 +56,11 @@ class TestRunTrials:
                 rows.append(row)
 
         [result] = run_scenarios(
-            ["uniform"], jobs=2, epochs=1, epoch_cycles=100, telemetry=Sink()
+            ["uniform"],
+            config=ExecutionConfig(jobs=2),
+            epochs=1,
+            epoch_cycles=100,
+            telemetry=Sink(),
         )
         assert result.scenario == "uniform"
         assert rows and all(row["scenario"] == "uniform" for row in rows)
@@ -85,19 +73,23 @@ class TestRunTrials:
                 rows.append(row)
 
         [result] = run_scenarios(
-            ["uniform"], jobs=1, epochs=1, epoch_cycles=100, telemetry=Sink()
+            ["uniform"],
+            config=ExecutionConfig(jobs=1),
+            epochs=1,
+            epoch_cycles=100,
+            telemetry=Sink(),
         )
         assert result.scenario == "uniform"
         assert rows and all(row["scenario"] == "uniform" for row in rows)
 
 
-class TestTrialPool:
+class TestPoolLifecycle:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
-            TrialPool(0)
+            SupervisedTrialPool(0)
 
     def test_serial_pool_runs_in_process(self):
-        with TrialPool(1) as pool:
+        with SupervisedTrialPool(1) as pool:
             trials = [
                 SweepTrial(CONFIG, "uniform", rate, 50, 100, seed=1, dvfs_level=0)
                 for rate in (0.05, 0.10)
@@ -106,7 +98,7 @@ class TestTrialPool:
         assert [point.injection_rate for point in points] == [0.05, 0.10]
 
     def test_close_is_idempotent(self):
-        pool = TrialPool(1)
+        pool = SupervisedTrialPool(1)
         pool.run(measure_sweep_point, [])
         pool.close()
         pool.close()
@@ -118,7 +110,7 @@ class TestTrialPool:
             for rate in (0.05, 0.10, 0.15, 0.20)
         ]
         serial = [measure_sweep_point(trial) for trial in trials]
-        with TrialPool(2) as pool:
+        with SupervisedTrialPool(2) as pool:
             first_round = pool.run(measure_sweep_point, trials[:2])
             second_round = pool.run(measure_sweep_point, trials[2:])
         assert first_round + second_round == serial
@@ -154,8 +146,8 @@ class TestParallelEquivalence:
 
     def test_scenario_fan_out_matches_serial(self):
         names = ["uniform", "hotspot", "transpose"]
-        serial = run_scenarios(names, jobs=1, epochs=1, epoch_cycles=150)
-        parallel = run_scenarios(names, jobs=4, epochs=1, epoch_cycles=150)
+        serial = run_scenarios(names, config=ExecutionConfig(jobs=1), epochs=1, epoch_cycles=150)
+        parallel = run_scenarios(names, config=ExecutionConfig(jobs=4), epochs=1, epoch_cycles=150)
         assert [result.to_json() for result in serial] == [
             result.to_json() for result in parallel
         ]
@@ -163,7 +155,12 @@ class TestParallelEquivalence:
 
     def test_repeats_use_derived_seeds(self):
         results = run_scenarios(
-            ["uniform"], jobs=2, repeats=2, seed=5, epochs=1, epoch_cycles=150
+            ["uniform"],
+            config=ExecutionConfig(jobs=2),
+            repeats=2,
+            seed=5,
+            epochs=1,
+            epoch_cycles=150,
         )
         assert [result.seed for result in results] == [trial_seed(5, 0), trial_seed(5, 1)]
         assert results[0].epochs != results[1].epochs
@@ -313,7 +310,7 @@ class TestSupervisedTrialPool:
 
 class TestPoolShutdownSemantics:
     def test_close_cancels_queued_futures(self):
-        pool = TrialPool(2)
+        pool = SupervisedTrialPool(2)
         pool.run(_double, [1, 2, 3])
         captured = {}
         inner = pool._pool

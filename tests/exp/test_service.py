@@ -175,6 +175,41 @@ class TestLeaseBook:
         assert book.complete(c.lease_id, {}) is c
 
 
+class _LoopbackSocket:
+    """A fake worker connection: frames the worker sends read back in order."""
+
+    def __init__(self) -> None:
+        self.buffer = bytearray()
+
+    def sendall(self, data: bytes) -> None:
+        self.buffer += data
+
+    def recv(self, count: int) -> bytes:
+        out = bytes(self.buffer[:count])
+        del self.buffer[:count]
+        return out
+
+
+class TestServiceWorker:
+    def test_malformed_lease_comes_back_as_a_trial_error(self):
+        worker = ServiceWorker("tcp://127.0.0.1:1")
+        sock = _LoopbackSocket()
+        lease = {
+            "lease_id": 7,
+            "index": 0,
+            "label": "bad[0]",
+            "attempt": 0,
+            "timeout_s": None,
+            "subtrial": ["warp", {}],
+        }
+        assert worker._execute(sock, lease) is True
+        frame = recv_frame(sock)
+        assert frame["type"] == "trial-error"
+        assert frame["lease_id"] == 7
+        assert "warp" in frame["error"]
+        assert not sock.buffer
+
+
 def _start_worker(address: str, **kwargs) -> threading.Thread:
     worker = ServiceWorker(address, **kwargs)
     thread = threading.Thread(target=worker.run, daemon=True)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig, TrafficSpec
 from repro.core.training import default_dqn_config, train_dqn_controller
+from repro.exp.execution import ExecutionConfig
 from repro.exp.training import (
     ActorBatchTask,
     ActorTask,
@@ -27,6 +28,10 @@ from repro.exp.training import (
 from repro.rl.dqn import DQNAgent
 
 TRAIN_KWARGS = dict(min_buffer_size=4, batch_size=4, hidden_sizes=(8,), epsilon_decay_steps=12)
+
+
+def actors(count: int) -> ExecutionConfig:
+    return ExecutionConfig(train_jobs=count)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +62,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             train_dqn_sharded(tiny_experiment, episodes=0)
         with pytest.raises(ValueError):
-            train_dqn_sharded(tiny_experiment, episodes=2, jobs=0)
+            train_dqn_sharded(tiny_experiment, episodes=2, config=actors(0))
         with pytest.raises(ValueError):
             train_dqn_sharded(tiny_experiment, episodes=2, sync_interval=0)
 
@@ -76,17 +81,17 @@ class TestValidation:
             train_dqn_sharded(tiny_experiment, episodes=2, resume_from=bogus)
 
     def test_sharded_resume_requires_round_boundary(self, tiny_experiment):
-        head = train_dqn_sharded(tiny_experiment, episodes=3, jobs=1, **TRAIN_KWARGS)
+        head = train_dqn_sharded(tiny_experiment, episodes=3, config=actors(1), **TRAIN_KWARGS)
         with pytest.raises(ValueError, match="round boundary"):
-            train_dqn_sharded(tiny_experiment, episodes=5, jobs=2, resume_from=head)
+            train_dqn_sharded(tiny_experiment, episodes=5, config=actors(2), resume_from=head)
 
     def test_sharded_resume_requires_sync_boundary(self, tiny_experiment):
-        head = train_dqn_sharded(tiny_experiment, episodes=2, jobs=1, **TRAIN_KWARGS)
+        head = train_dqn_sharded(tiny_experiment, episodes=2, config=actors(1), **TRAIN_KWARGS)
         # Round 1 of a sync_interval=2 schedule rolls out against the stale
         # round-0 broadcast, which a resumed run cannot reconstruct.
         with pytest.raises(ValueError, match="sync boundary"):
             train_dqn_sharded(
-                tiny_experiment, episodes=6, jobs=2, sync_interval=2, resume_from=head
+                tiny_experiment, episodes=6, config=actors(2), sync_interval=2, resume_from=head
             )
 
     def test_already_complete_returns_unchanged_curve(self, tiny_experiment):
@@ -113,14 +118,14 @@ class TestSerialPathEquivalence:
     def test_bit_identical_to_serial_trainer(self, tiny_experiment):
         env = tiny_experiment.build_environment()
         serial = train_dqn_controller(env, episodes=3, **TRAIN_KWARGS)
-        sharded = train_dqn_sharded(tiny_experiment, episodes=3, jobs=1, **TRAIN_KWARGS)
+        sharded = train_dqn_sharded(tiny_experiment, episodes=3, config=actors(1), **TRAIN_KWARGS)
         assert_curves_equal(serial, sharded)
         assert_weights_equal(serial.agent, sharded.agent)
         assert serial.agent.train_steps == sharded.agent.train_steps
         assert serial.agent.observe_steps == sharded.agent.observe_steps
 
     def test_records_timing_fields(self, tiny_experiment):
-        result = train_dqn_sharded(tiny_experiment, episodes=2, jobs=1, **TRAIN_KWARGS)
+        result = train_dqn_sharded(tiny_experiment, episodes=2, config=actors(1), **TRAIN_KWARGS)
         assert result.wall_time_s > 0
         assert result.episodes_per_second > 0
 
@@ -131,8 +136,8 @@ class TestSerialPathEquivalence:
 
         timing = {"wall_time_s", "episodes_per_second"}
         assert {f.name for f in fields(TrainingResult) if not f.compare} == timing
-        first = train_dqn_sharded(tiny_experiment, episodes=2, jobs=1, **TRAIN_KWARGS)
-        second = train_dqn_sharded(tiny_experiment, episodes=2, jobs=1, **TRAIN_KWARGS)
+        first = train_dqn_sharded(tiny_experiment, episodes=2, config=actors(1), **TRAIN_KWARGS)
+        second = train_dqn_sharded(tiny_experiment, episodes=2, config=actors(1), **TRAIN_KWARGS)
         assert_curves_equal(first, second)
 
 
@@ -177,13 +182,13 @@ class TestShardedTraining:
     """Multi-process runs: determinism, learning band, resume."""
 
     def test_jobs2_is_deterministic(self, tiny_experiment):
-        first = train_dqn_sharded(tiny_experiment, episodes=4, jobs=2, **TRAIN_KWARGS)
-        second = train_dqn_sharded(tiny_experiment, episodes=4, jobs=2, **TRAIN_KWARGS)
+        first = train_dqn_sharded(tiny_experiment, episodes=4, config=actors(2), **TRAIN_KWARGS)
+        second = train_dqn_sharded(tiny_experiment, episodes=4, config=actors(2), **TRAIN_KWARGS)
         assert_curves_equal(first, second)
         assert_weights_equal(first.agent, second.agent)
 
     def test_jobs2_trains_the_learner(self, tiny_experiment):
-        result = train_dqn_sharded(tiny_experiment, episodes=4, jobs=2, **TRAIN_KWARGS)
+        result = train_dqn_sharded(tiny_experiment, episodes=4, config=actors(2), **TRAIN_KWARGS)
         assert result.episodes == 4
         # 4 episodes x 3 epochs of experience must be in the replay buffer.
         assert len(result.agent.buffer) == 12
@@ -192,13 +197,13 @@ class TestShardedTraining:
 
     def test_sync_interval_changes_staleness_not_determinism(self, tiny_experiment):
         frequent = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, sync_interval=1, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), sync_interval=1, **TRAIN_KWARGS
         )
         stale = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, sync_interval=2, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), sync_interval=2, **TRAIN_KWARGS
         )
         stale_again = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, sync_interval=2, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), sync_interval=2, **TRAIN_KWARGS
         )
         assert_curves_equal(stale, stale_again)
         # Round 2 of the stale run rolls out against the round-0 broadcast, so
@@ -219,8 +224,8 @@ class TestShardedTraining:
             hidden_sizes=(16,),
             epsilon_decay_steps=24,
         )
-        serial = train_dqn_sharded(experiment, jobs=1, **kwargs)
-        sharded = train_dqn_sharded(experiment, jobs=4, **kwargs)
+        serial = train_dqn_sharded(experiment, config=actors(1), **kwargs)
+        sharded = train_dqn_sharded(experiment, config=actors(4), **kwargs)
         serial_smoothed = serial.smoothed_returns(window=3)
         sharded_smoothed = sharded.smoothed_returns(window=3)
         band = max(3.0, max(serial_smoothed) - min(serial_smoothed))
@@ -265,12 +270,12 @@ class TestActorBatching:
             )
 
     def test_resume_round_boundary_accounts_for_batching(self, tiny_experiment):
-        head = train_dqn_sharded(tiny_experiment, episodes=2, jobs=1, **TRAIN_KWARGS)
+        head = train_dqn_sharded(tiny_experiment, episodes=2, config=actors(1), **TRAIN_KWARGS)
         with pytest.raises(ValueError, match="round boundary"):
             train_dqn_sharded(
                 tiny_experiment,
                 episodes=8,
-                jobs=2,
+                config=actors(2),
                 episodes_per_task=2,
                 resume_from=head,
             )
@@ -282,20 +287,20 @@ class TestActorBatchingParallel:
         # jobs=2 x 2 episodes/task and jobs=4 x 1 episode/task share the same
         # round size, hence the same broadcast cadence: bit-identical runs.
         batched = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, episodes_per_task=2, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), episodes_per_task=2, **TRAIN_KWARGS
         )
         wide = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=4, episodes_per_task=1, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(4), episodes_per_task=1, **TRAIN_KWARGS
         )
         assert_curves_equal(batched, wide)
         assert_weights_equal(batched.agent, wide.agent)
 
     def test_batched_training_is_deterministic(self, tiny_experiment):
         first = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, episodes_per_task=2, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), episodes_per_task=2, **TRAIN_KWARGS
         )
         second = train_dqn_sharded(
-            tiny_experiment, episodes=4, jobs=2, episodes_per_task=2, **TRAIN_KWARGS
+            tiny_experiment, episodes=4, config=actors(2), episodes_per_task=2, **TRAIN_KWARGS
         )
         assert_curves_equal(first, second)
         assert_weights_equal(first.agent, second.agent)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exp import suites
 from repro.exp.chaos import ChaosPolicy, ChaosRule
-from repro.exp.execution import ExecutionConfig
+from repro.exp.execution import ExecutionConfig, SupervisionPolicy
 from repro.exp.runner import TrialExecutionError
 from repro.exp.scenarios import scenario_names
 from repro.exp.suites import (
@@ -26,7 +26,6 @@ from repro.exp.suites import (
     perf_record,
     run_suite,
     run_suite_subtrial,
-    subtrial_key,
     suite_for_artifact,
 )
 
@@ -226,8 +225,8 @@ class TestPerfRecord:
 
 class TestRunSuite:
     def test_fig1_smoke_is_deterministic_and_writes_the_artifact(self, tmp_path):
-        first = run_suite("fig1-smoke", jobs=1, out_dir=tmp_path)
-        second = run_suite("fig1-smoke", jobs=1)
+        first = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
+        second = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         assert json.dumps(first.deterministic_payload(), sort_keys=True) == json.dumps(
             second.deterministic_payload(), sort_keys=True
         )
@@ -239,14 +238,14 @@ class TestRunSuite:
         assert all(record["cycles_per_s"] > 0 for record in payload["runs"])
 
     def test_scenario_suite_reports_scenario_summaries(self):
-        outcome = run_suite("hotpath-smoke", jobs=1)
+        outcome = run_suite("hotpath-smoke", config=ExecutionConfig(jobs=1))
         rows = outcome.rows("powersave-idle")
         assert rows[0]["scenario"] == "powersave-idle"
         assert rows[0]["cycles"] == 2 * 150  # smoke caps: 2 epochs x 150 cycles
 
     def test_training_suite_shares_the_memoized_controller(self):
         smoke = get_suite("fig3-smoke")
-        outcome = run_suite(smoke, jobs=1)
+        outcome = run_suite(smoke, config=ExecutionConfig(jobs=1))
         rows = outcome.rows("dqn-train")
         assert len(rows) == smoke.training["episodes"]
         assert outcome.training is suites.train_controller(smoke.training, jobs=1)
@@ -268,18 +267,18 @@ class TestRunSuite:
 
     def test_reuse_evals_memoizes_identical_evaluations(self):
         suites._EVAL_CACHE.clear()
-        first = run_suite("table2-smoke", jobs=1, reuse_evals=True)
+        first = run_suite("table2-smoke", config=ExecutionConfig(jobs=1, reuse_evals=True))
         cache_size = len(suites._EVAL_CACHE)
         assert cache_size == len(first.units)
         # fig5-smoke shares table2-smoke's five phased policies (same smoke
         # eval params, same weights) and adds the two static mid levels.
-        second = run_suite("fig5-smoke", jobs=1, reuse_evals=True)
+        second = run_suite("fig5-smoke", config=ExecutionConfig(jobs=1, reuse_evals=True))
         assert len(suites._EVAL_CACHE) == cache_size + 2
         for unit in ("phased/drl", "phased/static-min"):
             assert second.unit(unit)["rows"] == first.unit(unit)["rows"]
 
     def test_outcome_lookup_errors_name_the_known_units(self):
-        outcome = run_suite("fig1-smoke", jobs=1)
+        outcome = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         with pytest.raises(KeyError, match="turbo"):
             outcome.unit("no-such-unit")
         with pytest.raises(KeyError, match="no summary"):
@@ -291,13 +290,15 @@ class TestRunSuite:
             description="one unit pinned to the event engine",
             units=(sweep_unit("pinned", engine="event"), sweep_unit("default")),
         )
-        outcome = run_suite(spec, jobs=1)
+        outcome = run_suite(spec, config=ExecutionConfig(jobs=1))
         by_name = {record["scenario"]: record["engine"] for record in outcome.records}
         assert by_name == {"pinned": "event", "default": "cycle"}
 
     def test_event_engine_yields_identical_outcomes_with_tagged_records(self):
-        cycle_outcome = run_suite("hotpath-smoke", jobs=1)
-        event_outcome = run_suite("hotpath-smoke", jobs=1, engine="event")
+        cycle_outcome = run_suite("hotpath-smoke", config=ExecutionConfig(jobs=1))
+        event_outcome = run_suite(
+            "hotpath-smoke", config=ExecutionConfig(jobs=1, engine="event")
+        )
         assert json.dumps(
             cycle_outcome.deterministic_payload(), sort_keys=True
         ) == json.dumps(event_outcome.deterministic_payload(), sort_keys=True)
@@ -306,8 +307,8 @@ class TestRunSuite:
 
     @pytest.mark.slow
     def test_pool_fanout_matches_serial_outcomes(self):
-        serial = run_suite("fig2-smoke", jobs=1)
-        parallel = run_suite("fig2-smoke", jobs=2)
+        serial = run_suite("fig2-smoke", config=ExecutionConfig(jobs=1))
+        parallel = run_suite("fig2-smoke", config=ExecutionConfig(jobs=2))
         assert json.dumps(serial.deterministic_payload(), sort_keys=True) == json.dumps(
             parallel.deterministic_payload(), sort_keys=True
         )
@@ -455,11 +456,6 @@ class TestSubtrial:
         with pytest.raises(ValueError, match="unknown subtrial kind 'warp'"):
             Subtrial("warp", {})
 
-    def test_unpacks_like_the_legacy_tuple(self):
-        kind, params = Subtrial("eval", {"policy": "random"})
-        assert kind == "eval"
-        assert params == {"policy": "random"}
-
     def test_params_are_copied_from_the_caller(self):
         source = {"policy": "random"}
         subtrial = Subtrial("eval", source)
@@ -470,26 +466,31 @@ class TestSubtrial:
         subtrial = Subtrial("sweep", {"rate": 0.1, "pattern": "uniform"})
         assert Subtrial.from_wire(subtrial.to_wire()) == subtrial
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            "sweep",
+            ["sweep"],
+            ["sweep", {}, {}],
+            [7, {}],
+            ["sweep", [("rate", 0.1)]],
+            {"sweep": {}},
+        ],
+        ids=["none", "string", "one-item", "three-items", "non-str-kind",
+             "pair-list-params", "mapping"],
+    )
+    def test_from_wire_rejects_malformed_payloads(self, payload):
+        with pytest.raises(ValueError, match=r"\[kind, params\] pair"):
+            Subtrial.from_wire(payload)
+
     def test_key_is_stable_and_agent_fingerprinted(self):
         a = Subtrial("eval", {"policy": "random", "seed": 1})
         b = Subtrial("eval", {"seed": 1, "policy": "random"})
         assert a.key == b.key
         assert a.key != Subtrial("eval", {"policy": "random", "seed": 2}).key
 
-    def test_coerce_accepts_subtrials_silently_and_warns_on_tuples(self):
-        subtrial = Subtrial("eval", {"policy": "random"})
-        assert Subtrial.coerce(subtrial, caller="test") is subtrial
-        with pytest.warns(DeprecationWarning, match="test.*deprecated"):
-            coerced = Subtrial.coerce(("eval", {"policy": "random"}), caller="test")
-        assert coerced == subtrial
-
-    def test_subtrial_key_shim_warns_on_tuples(self):
-        subtrial = Subtrial("eval", {"policy": "random"})
-        with pytest.warns(DeprecationWarning):
-            legacy = subtrial_key(("eval", {"policy": "random"}))
-        assert legacy == subtrial.key == subtrial_key(subtrial)
-
-    def test_run_suite_subtrial_shim_warns_on_tuples(self):
+    def test_run_suite_subtrial_runs_a_typed_subtrial(self):
         spec = SuiteUnit(
             name="point",
             kind="sweep",
@@ -497,22 +498,21 @@ class TestSubtrial:
         )
         (subtrial,) = expand_unit(spec)
         assert isinstance(subtrial, Subtrial)
-        fresh = run_suite_subtrial(subtrial)  # typed call: no warning
-        with pytest.warns(DeprecationWarning, match="run_suite_subtrial"):
-            legacy = run_suite_subtrial(tuple(subtrial))
-        assert legacy["rows"] == fresh["rows"]
+        payload = run_suite_subtrial(subtrial)
+        assert [row["rate"] for row in payload["rows"]] == [0.05]
+        assert run_suite_subtrial(subtrial)["rows"] == payload["rows"]
 
 
 class TestSubtrialKey:
     def test_key_is_stable_and_order_insensitive(self):
-        a = ("sweep", {"rates": [0.05], "seed": 0})
-        b = ("sweep", {"seed": 0, "rates": [0.05]})
-        assert subtrial_key(a) == subtrial_key(b)
+        a = Subtrial("sweep", {"rates": [0.05], "seed": 0})
+        b = Subtrial("sweep", {"seed": 0, "rates": [0.05]})
+        assert a.key == b.key
 
     def test_key_separates_kind_and_params(self):
-        base = subtrial_key(("sweep", {"rates": [0.05], "seed": 0}))
-        assert subtrial_key(("eval", {"rates": [0.05], "seed": 0})) != base
-        assert subtrial_key(("sweep", {"rates": [0.05], "seed": 1})) != base
+        base = Subtrial("sweep", {"rates": [0.05], "seed": 0}).key
+        assert Subtrial("eval", {"rates": [0.05], "seed": 0}).key != base
+        assert Subtrial("sweep", {"rates": [0.05], "seed": 1}).key != base
 
     def test_agent_kind_string_is_hashed_as_plain_data(self):
         # A train-eval subtrial names its agent *kind*; only an eval's
@@ -572,10 +572,12 @@ class TestResumableSuites:
             run_suite("fig1-smoke", resume=True)
 
     def test_resume_satisfies_everything_from_the_journal(self, tmp_path):
-        clean = run_suite("fig1-smoke", jobs=1, out_dir=tmp_path)
+        clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
         journal_path = tmp_path / "fig1-smoke.journal.jsonl"
         rows = [json.loads(line) for line in journal_path.read_text().splitlines()]
-        resumed = run_suite("fig1-smoke", jobs=1, out_dir=tmp_path, resume=True)
+        resumed = run_suite(
+            "fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path, resume=True
+        )
         assert clean.resumed_subtrials == 0
         assert rows[0]["journal"]["suite"] == "fig1-smoke"
         assert resumed.resumed_subtrials == len([row for row in rows if "key" in row])
@@ -601,7 +603,7 @@ class TestResumableSuites:
     def test_fresh_run_truncates_a_stale_journal(self, tmp_path):
         path = tmp_path / "fig1-smoke.journal.jsonl"
         path.write_text('{"key": "stale", "payload": {}}\n', encoding="utf-8")
-        run_suite("fig1-smoke", jobs=1, out_dir=tmp_path)
+        run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows and all(row.get("key") != "stale" for row in rows)
 
@@ -612,7 +614,7 @@ class TestResumableSuites:
             def emit(self, row):
                 rows.append(row)
 
-        run_suite("fig1-smoke", jobs=1, telemetry=Sink())
+        run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), telemetry=Sink())
         subtrial_rows = [row for row in rows if row["source"] == "subtrial"]
         assert subtrial_rows
         assert all(
@@ -700,21 +702,29 @@ class TestSubtrialDispatch:
 
 class TestSuiteChaos:
     def test_chaos_run_matches_clean_run(self):
-        clean = run_suite("fig1-smoke", jobs=1)
+        clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         chaos = ChaosPolicy(rules=(ChaosRule("raise", 0), ChaosRule("raise", 3)))
-        perturbed = run_suite("fig1-smoke", jobs=1, chaos=chaos)
+        perturbed = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1, chaos=chaos))
         assert suites.diff_payloads(
             clean.deterministic_payload(), perturbed.deterministic_payload()
         ) == []
 
     def test_poison_subtrial_quarantines_then_resume_completes(self, tmp_path):
-        clean = run_suite("fig1-smoke", jobs=1)
+        clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         poison = ChaosPolicy(rules=(ChaosRule("raise", 2),))
         with pytest.raises(TrialExecutionError):
-            run_suite("fig1-smoke", jobs=1, out_dir=tmp_path, retries=0, chaos=poison)
+            run_suite(
+                "fig1-smoke",
+                config=ExecutionConfig(
+                    jobs=1, supervision=SupervisionPolicy(max_retries=0), chaos=poison
+                ),
+                out_dir=tmp_path,
+            )
         journal = SuiteJournal(tmp_path / "fig1-smoke.journal.jsonl").load()
         assert journal  # the siblings landed before the quarantine surfaced
-        resumed = run_suite("fig1-smoke", jobs=1, out_dir=tmp_path, resume=True)
+        resumed = run_suite(
+            "fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path, resume=True
+        )
         assert resumed.resumed_subtrials == len(journal)
         assert suites.diff_payloads(
             clean.deterministic_payload(), resumed.deterministic_payload()
