@@ -26,19 +26,8 @@ Installed as the ``repro-noc`` console script (or invoked as
 * ``engines``   — list the registered simulation engines and their
   capability flags.
 
-Two more subcommands host the distributed suite service
-(:mod:`repro.exp.service`):
-
-* ``serve``     — run a broker: workers connect and pull subtrial leases,
-  clients submit whole suites; ``--once`` exits after the first job (CI);
-* ``worker``    — join a broker's fleet (``worker --connect tcp://HOST:PORT``)
-  and execute leased subtrials until the broker shuts down.
-
-``suite run --workers tcp://HOST:PORT`` is the matching client: the suite
-executes on the fleet and the artefact is byte-identical to a local run.
-
-Execution flags are shared: ``sweep``, ``scenarios run``, ``suite run``,
-``train``, ``serve`` and ``worker`` all accept the same
+Execution flags are shared: ``sweep``, ``scenarios run``, ``suite run``
+and ``train`` all accept the same
 ``--jobs/--train-jobs/--engine/--timeout/--retries/--telemetry`` group
 (one argparse parent), mapping 1:1 onto
 :class:`repro.exp.execution.ExecutionConfig` via
@@ -56,7 +45,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -87,12 +75,6 @@ from repro.exp import (
 )
 from repro.engines import DEFAULT_ENGINE, engine_infos, selectable_engine_names
 from repro.exp.execution import ExecutionConfig, SupervisionPolicy
-from repro.exp.service import (
-    ServiceError,
-    ServiceWorker,
-    SuiteBroker,
-    parse_workers_url,
-)
 from repro.exp.suites import (
     APPROX_DIFF_IGNORED_KEYS,
     APPROX_DIFF_TOLERANCES,
@@ -157,10 +139,9 @@ def _write_json(path: str, payload) -> None:
 def _execution_parent() -> argparse.ArgumentParser:
     """The shared execution-flag group (argparse parent).
 
-    ``sweep``, ``scenarios run``, ``suite run``, ``train``, ``serve`` and
-    ``worker`` all inherit these six flags, so execution knobs parse
-    identically everywhere and map 1:1 onto
-    :class:`~repro.exp.execution.ExecutionConfig` (see
+    ``sweep``, ``scenarios run``, ``suite run`` and ``train`` all inherit
+    these six flags, so execution knobs parse identically everywhere and
+    map 1:1 onto :class:`~repro.exp.execution.ExecutionConfig` (see
     :func:`execution_config_from_args`).  Defaults are ``None`` so commands
     can tell "left alone" from "explicitly set" (e.g. ``train`` treats
     ``--jobs`` as a synonym for ``--train-jobs``).
@@ -325,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the CI-sized -smoke variant of each named suite",
     )
     suite_run.add_argument(
-        "--workers",
-        metavar="tcp://HOST:PORT",
-        help="run the suites on the broker's worker fleet at this address "
-        "instead of in-process (see `serve` / `worker`); the artefact is "
-        "byte-identical to a local run",
-    )
-    suite_run.add_argument(
         "--out",
         dest="out_dir",
         help="directory for the per-suite JSON artefacts and journals",
@@ -408,68 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         help="checkpoint directory to resume training from (see --checkpoint)",
     )
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="host a suite broker: workers pull subtrial leases, clients "
-        "submit suites (see `worker` and `suite run --workers`)",
-        parents=[execution],
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port",
-        type=_non_negative_int,
-        default=7077,
-        help="listen port (default 7077; 0 = pick a free port)",
-    )
-    serve.add_argument(
-        "--out",
-        dest="out_dir",
-        help="directory for per-suite JSON artefacts and journals (clients "
-        "resume against journals written here)",
-    )
-    serve.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="heartbeat deadline per lease; an expired lease is re-queued to "
-        "another worker (default 30)",
-    )
-    serve.add_argument(
-        "--once",
-        action="store_true",
-        help="shut down after the first submitted suite job completes (CI)",
-    )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="join a broker's fleet and execute leased subtrials",
-        parents=[execution],
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="tcp://HOST:PORT",
-        help="broker address to pull leases from (see `serve`)",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable identity reported in leases and telemetry "
-        "(default: HOSTNAME-PID)",
-    )
-    worker.add_argument(
-        "--max-leases",
-        type=_positive_int,
-        default=None,
-        help="exit after executing this many leases (default: serve until "
-        "the broker shuts down)",
-    )
-    # Deterministic connection-fault injection for tests and CI only —
-    # deliberately undocumented in --help (kill|stall:N.N|raise rules over
-    # dispatch index / label, see repro.exp.chaos.parse_chaos_spec).
-    worker.add_argument("--chaos", default=None, help=argparse.SUPPRESS)
 
     evaluate = subparsers.add_parser(
         "evaluate", help="evaluate a checkpoint or a named baseline"
@@ -733,19 +645,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
     engine = args.engine or "cycle"
     if not _check_names("engine", [engine], selectable_engine_names()):
         return 2
-    if args.resume and not args.out_dir and not args.workers:
+    if args.resume and not args.out_dir:
         print(
-            "--resume requires --out (the journal lives beside the artefact; "
-            "with --workers it lives under the broker's --out)",
+            "--resume requires --out (the journal lives beside the artefact)",
             file=sys.stderr,
         )
         return 2
-    if args.workers:
-        try:
-            parse_workers_url(args.workers)
-        except ValueError as error:
-            print(f"bad --workers address: {error}", file=sys.stderr)
-            return 2
     chaos = None
     if args.chaos:
         try:
@@ -764,7 +669,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
                 out_dir=args.out_dir,
                 telemetry=sink,
                 resume=args.resume,
-                workers=args.workers,
             )
             if outcome.resumed_subtrials:
                 print(
@@ -791,16 +695,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         print(
             "the journal under --out was written by a different suite "
             "revision; drop --resume (or point --out elsewhere) to start over",
-            file=sys.stderr,
-        )
-        return 2
-    except ServiceError as error:
-        print(f"suite {name}: broker at {args.workers}: {error}", file=sys.stderr)
-        return 2
-    except ConnectionRefusedError:
-        print(
-            f"suite {name}: no broker listening at {args.workers} "
-            "(start one with `repro-noc serve`)",
             file=sys.stderr,
         )
         return 2
@@ -907,98 +801,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``serve``: host a :class:`SuiteBroker` until interrupted.
-
-    The execution flags form the broker's *default* config — applied when a
-    client submits without one; ``suite run --workers`` clients always send
-    their own, which wins.
-    """
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s: %(message)s"
-    )
-    engine = args.engine
-    if engine is not None:
-        if not _check_names("engine", [engine], selectable_engine_names()):
-            return 2
-    config = execution_config_from_args(args, engine=engine)
-    try:
-        broker = SuiteBroker(
-            host=args.host,
-            port=args.port,
-            out_dir=args.out_dir,
-            config=config,
-            lease_timeout_s=args.lease_timeout,
-            once=args.once,
-        )
-    except OSError as error:
-        print(f"cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
-        return 2
-    with broker:
-        print(
-            f"broker listening on {broker.address}"
-            + (" (exiting after one job)" if args.once else "")
-        )
-        print(f"  workers join with:  repro-noc worker --connect {broker.address}")
-        print(f"  clients submit via: repro-noc suite run ... --workers {broker.address}")
-        try:
-            broker.serve_forever()
-        except KeyboardInterrupt:
-            print("\nbroker interrupted; draining connections", file=sys.stderr)
-            return 130
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    """``worker``: pull and execute subtrial leases until the broker stops.
-
-    The shared execution flags are accepted for CLI symmetry but ignored:
-    every lease carries the submitting client's :class:`ExecutionConfig`.
-    """
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s: %(message)s"
-    )
-    try:
-        parse_workers_url(args.connect)
-    except ValueError as error:
-        print(f"bad --connect address: {error}", file=sys.stderr)
-        return 2
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = parse_chaos_spec(args.chaos)
-        except ValueError as error:
-            print(f"bad --chaos spec: {error}", file=sys.stderr)
-            return 2
-    # CLI workers are disposable processes, so chaos `kill` may genuinely
-    # hard-exit them (the broker re-queues the abandoned leases).
-    worker = ServiceWorker(
-        args.connect,
-        worker_id=args.worker_id,
-        chaos=chaos,
-        allow_kill=True,
-        max_leases=args.max_leases,
-    )
-    print(f"worker {worker.worker_id} pulling leases from {args.connect}")
-    try:
-        leases = worker.run()
-    except ConnectionRefusedError:
-        print(
-            f"no broker listening at {args.connect} "
-            "(start one with `repro-noc serve`)",
-            file=sys.stderr,
-        )
-        return 2
-    except ServiceError as error:
-        print(f"broker at {args.connect}: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(f"\nworker {worker.worker_id} interrupted", file=sys.stderr)
-        return 130
-    print(f"worker {worker.worker_id} done: {leases} lease(s) executed")
-    return 0
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     experiment = _experiment_from_preset(args.preset)
     policy = _resolve_policy(args.controller, experiment)
@@ -1052,8 +854,6 @@ _COMMANDS = {
     "suite": cmd_suite,
     "engines": cmd_engines,
     "train": cmd_train,
-    "serve": cmd_serve,
-    "worker": cmd_worker,
     "evaluate": cmd_evaluate,
     "compare": cmd_compare,
 }

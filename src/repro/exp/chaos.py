@@ -146,7 +146,7 @@ class ChaosPolicy:
         return bool(self.rules or self.kill_rate or self.raise_rate)
 
     # Plain-data round trip: a chaos script rides inside the serializable
-    # ExecutionConfig (repro.exp.execution) and thus over the service wire.
+    # ExecutionConfig (repro.exp.execution).
     def to_dict(self) -> dict:
         return {
             "rules": [rule.to_dict() for rule in self.rules],

@@ -1,23 +1,18 @@
-"""The unified execution API: one frozen, wire-ready :class:`ExecutionConfig`.
+"""The unified execution API: one frozen, serializable :class:`ExecutionConfig`.
 
 :func:`repro.exp.suites.run_suite`, :func:`repro.exp.runner.run_scenarios`
 and :func:`repro.exp.training.train_dqn_sharded` take their execution knobs
-as one ``config=`` value and nothing else, so the same value serves the
-local API and the wire protocol of the distributed suite service:
+as one ``config=`` value and nothing else:
 
 * :class:`ExecutionConfig` — a frozen dataclass holding every *execution*
   knob (worker counts, engine, eval memoization, the supervision policy
-  and an optional chaos script).  It is simultaneously the local API
-  (``run_suite(spec, config=...)``) and the wire payload (the broker/worker
-  lease protocol of :mod:`repro.exp.service` ships it as JSON via
-  :meth:`ExecutionConfig.to_json`).
+  and an optional chaos script), e.g. ``run_suite(spec, config=...)``.
 * :class:`SupervisionPolicy` — the fault-tolerance knobs, nested in the
   config, so the config module depends only on plain data.
 
 Environment-bound arguments deliberately stay *out* of the config: an open
 telemetry sink, an output directory or a resume flag describe where a run
-happens, not what it computes, and none of them can cross a socket.  The
-split is exactly what makes the config a safe lease payload.
+happens, not what it computes.
 
 Determinism: most config fields only reorder wall clock (``jobs``,
 ``reuse_evals``, supervision, chaos — the PR 7 contract), but
@@ -44,7 +39,7 @@ class SupervisionPolicy:
 
     ``timeout_s`` bounds one attempt's wall clock (``None`` = no limit;
     only enforceable on the pool path — an in-process attempt cannot be
-    preempted; the distributed service reuses it as the lease deadline).
+    preempted).
     ``max_retries`` bounds *re*-tries, so a trial gets ``max_retries + 1``
     attempts before quarantine.  Backoff between a trial's attempts grows
     ``backoff_s * backoff_factor ** (attempt - 1)`` — deterministic, no
@@ -96,15 +91,12 @@ class ExecutionConfig:
     * ``engine`` — execution engine for every simulation (``None`` = keep
       each spec's own engine, defaulting to ``cycle``).
     * ``reuse_evals`` — memoize completed eval subtrials process-wide.
-    * ``supervision`` — the :class:`SupervisionPolicy` fault budget; the
-      distributed service reuses ``timeout_s`` as its lease deadline and
-      ``max_retries`` as the lease re-queue budget.
+    * ``supervision`` — the :class:`SupervisionPolicy` fault budget.
     * ``chaos`` — optional deterministic fault script (tests/CI only).
 
     The config is valid as constructed (``__post_init__`` validates), hashes
     and compares by value, round-trips through JSON
-    (:meth:`to_json`/:meth:`from_json`) bit-for-bit, and pickles — the
-    JSON path is what the service's wire protocol ships.
+    (:meth:`to_json`/:meth:`from_json`) bit-for-bit, and pickles.
     """
 
     jobs: int = 1

@@ -37,7 +37,7 @@ import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.analysis.metrics import summarize_trace
 from repro.baselines import (
@@ -367,10 +367,8 @@ SUBTRIAL_KINDS = ("sweep", "scenario", "eval", "train-eval")
 class Subtrial:
     """One expanded, picklable unit of suite work: a kind plus its params.
 
-    It rides everywhere a subtrial travels — the pool path
-    (:func:`run_suite_subtrial`) and the service's lease payload
-    (:meth:`to_wire`/:meth:`from_wire` frame the JSON ``[kind, params]``
-    shape).
+    It is what the supervised pool ships to :func:`run_suite_subtrial`,
+    and what each journal row is keyed on.
 
     ``key`` is the subtrial's content address: a hash of everything its
     outcome depends on, with any embedded agent payload replaced by its
@@ -411,25 +409,8 @@ class Subtrial:
         ).hexdigest()
 
     def to_wire(self) -> list:
-        """The JSON-framable ``[kind, params]`` shape the service ships."""
+        """The JSON-framable ``[kind, params]`` shape (the frame codec's probe)."""
         return [self.kind, self.params]
-
-    @classmethod
-    def from_wire(cls, payload: Sequence) -> "Subtrial":
-        """Rebuild from :meth:`to_wire` output: a 2-item ``[str, Mapping]``.
-
-        Any other shape is a ``ValueError`` (as is an unknown kind).
-        """
-        if (
-            not isinstance(payload, (list, tuple))
-            or len(payload) != 2
-            or not isinstance(payload[0], str)
-            or not isinstance(payload[1], Mapping)
-        ):
-            raise ValueError(
-                f"a wire subtrial is a [kind, params] pair, got {payload!r}"
-            )
-        return cls(payload[0], payload[1])
 
 
 class SuiteJournal:
@@ -842,16 +823,14 @@ def run_suite(
     out_dir: str | Path | None = None,
     telemetry=None,
     resume: bool = False,
-    workers: str | None = None,
-    _dispatch=None,
 ) -> SuiteOutcome:
     """Run every unit of ``spec``, fanning subtrials over one process pool.
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`
     — every knob that shapes *execution* in one frozen, serializable value,
     and the only way to pass one.  What stays a keyword is the environment
-    — ``out_dir``, ``telemetry``, ``resume``, ``workers`` describe where the
-    run happens, not what it computes, and never cross a socket.
+    — ``out_dir``, ``telemetry``, ``resume`` describe where the run
+    happens, not what it computes.
 
     ``config.jobs`` parallelises the suite's subtrials (simulated outcomes
     are identical for any value); ``config.train_jobs`` is handed to the
@@ -869,12 +848,6 @@ def run_suite(
 
     Every expanded subtrial — a typed :class:`Subtrial` — is its own pool
     task, journal row and memo entry.
-
-    ``workers`` routes the whole run to a :mod:`repro.exp.service` broker
-    (``"tcp://HOST:PORT"``): the spec and config ship over the wire, the
-    broker's fleet executes the subtrials, and the returned outcome — plus
-    the artefact written under ``out_dir`` — is byte-identical to an
-    in-process run (the determinism contract; ``suite diff`` exit 0).
 
     ``telemetry`` is an optional live tap (anything with ``emit(row)``,
     typically a :class:`repro.exp.telemetry.TelemetrySink`): one
@@ -909,18 +882,6 @@ def run_suite(
     config = config or ExecutionConfig()
     if isinstance(spec, str):
         spec = get_suite(spec)
-    if workers is not None:
-        # Imported lazily: the service layer imports this module.
-        from repro.exp.service import submit_suite
-
-        return submit_suite(
-            spec,
-            address=workers,
-            config=config,
-            out_dir=out_dir,
-            telemetry=telemetry,
-            resume=resume,
-        )
     engine_name = config.resolved_engine()
     reuse = config.reuse_evals
     if resume and out_dir is None:
@@ -1012,15 +973,11 @@ def run_suite(
         f"{spec.units[tagged[position][0]].name}[{position}]"
         for position, _, _, _ in dispatch
     ]
-    # ``_dispatch`` is the fleet hook: the service broker substitutes its
-    # lease-based dispatcher for the local pool, reusing everything else
-    # here — expansion, journal, memo, assembly — unchanged, which is what
-    # makes a fleet run's artefact byte-identical to this in-process path.
-    executor = _dispatch or SupervisedTrialPool(
+    pool = SupervisedTrialPool(
         config.jobs, policy=config.supervision, chaos=config.chaos
     )
     try:
-        results = executor.run(
+        results = pool.run(
             run_suite_subtrial,
             [subtrial for _, _, _, subtrial in dispatch],
             labels=labels,
@@ -1029,15 +986,9 @@ def run_suite(
     finally:
         # Interrupt/quarantine included: the journal is already flushed row
         # by row, so whatever completed survives for --resume.
-        executor.close()
+        pool.close()
         if journal is not None:
             journal.close()
-    # Lease metadata (which worker ran what) — scheduling only, never part
-    # of outcomes; rides the telemetry rows as diff-ignored fields.
-    scheduling = dict(getattr(executor, "last_scheduling", ()) or {})
-    scheduling_by_position = {
-        dispatch[task_index][0]: meta for task_index, meta in scheduling.items()
-    }
     for (position, cache_key, _, _), payload in zip(dispatch, results):
         payloads[position] = payload
         if cache_key is not None:
@@ -1053,10 +1004,7 @@ def run_suite(
             n_nodes, injection_rate = unit_shape(unit.params)
             telemetry.emit(
                 {
-                    # Fleet-executed subtrials are tagged source="service"
-                    # and carry their lease metadata (diff-ignored
-                    # scheduling fields, like attempts/retries).
-                    "source": "service" if _dispatch is not None else "subtrial",
+                    "source": "subtrial",
                     "suite": spec.name,
                     "scenario": unit.name,
                     "unit": unit.name,
@@ -1074,7 +1022,6 @@ def run_suite(
                     ),
                     "attempts": attempts,
                     "retries": max(attempts - 1, 0),
-                    **scheduling_by_position.get(position, {}),
                 }
             )
 

@@ -39,14 +39,11 @@ WALL_CLOCK_FIELDS = frozenset(
 #: Fields that depend on *scheduling* rather than the wall clock: the
 #: supervised pool's attempt accounting (how many tries a subtrial took,
 #: how many were retries) varies with worker crashes, timeouts and chaos
-#: injection, and the distributed service's lease metadata (which fleet
-#: worker executed a subtrial, under which lease) varies with work-stealing
-#: — while the simulated outcome stays bit-identical.  Parity checks must
-#: ignore these alongside the wall-clock fields — this union is what
-#: ``diff_payloads`` (``repro-noc suite diff``) skips, which is exactly
-#: what lets CI assert that a chaos-ridden run (or a fleet run with a
-#: worker killed mid-suite) equals a clean in-process one.
-SCHEDULING_FIELDS = frozenset({"attempts", "retries", "worker_id", "lease_id"})
+#: injection while the simulated outcome stays bit-identical.  Parity
+#: checks must ignore these alongside the wall-clock fields — this union
+#: is what ``diff_payloads`` (``repro-noc suite diff``) skips, which is
+#: exactly what lets CI assert that a chaos-ridden run equals a clean one.
+SCHEDULING_FIELDS = frozenset({"attempts", "retries"})
 
 NONDETERMINISTIC_FIELDS = WALL_CLOCK_FIELDS | SCHEDULING_FIELDS
 
@@ -74,14 +71,11 @@ TELEMETRY_FIELDS = (
     "cycles_per_s",
     "attempts",
     "retries",
-    "worker_id",
-    "lease_id",
 )
 
 #: Telemetry ``source`` values: live per-epoch scenario rows, per-subtrial
-#: suite rows, subtrial rows executed by the distributed service's worker
-#: fleet, and per-unit perf records.
-TELEMETRY_SOURCES = ("epoch", "subtrial", "service", "perf")
+#: suite rows and per-unit perf records.
+TELEMETRY_SOURCES = ("epoch", "subtrial", "perf")
 
 
 class TelemetrySink:

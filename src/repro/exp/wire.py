@@ -1,32 +1,32 @@
-"""The service wire format: length-prefixed JSON frames + a payload codec.
+"""The subtrial/payload frame codec: length-prefixed JSON + a payload codec.
 
-The broker/worker protocol of :mod:`repro.exp.service` exchanges small
-JSON messages (leases, heartbeats, result rows) over plain TCP.  Framing
-is the simplest thing that is unambiguous on a byte stream: a 4-byte
-big-endian unsigned length followed by that many bytes of UTF-8 JSON.
-:func:`send_frame`/:func:`recv_frame` implement it against anything with
-``sendall``/``recv`` — real sockets in production, in-memory fakes in the
-tests — and handle the failure modes a stream actually has:
+This module is what the perf ledger's ``suite_fanout`` workload probes
+time (the ``exp.wire.*`` per-layer metrics): it frames a
+:meth:`~repro.exp.suites.Subtrial.to_wire` pair and its payload.  No
+socket protocol in ``src/`` uses it; a change to the benchmark removes it
+together with those metrics.
+
+Framing is a 4-byte big-endian unsigned length followed by that many
+bytes of UTF-8 JSON.  :func:`encode_frame` writes one frame;
+:func:`recv_frame` reads one from anything with ``recv`` and handles the
+failure modes a byte stream has:
 
 * **partial reads** — ``recv`` may return any prefix; :func:`recv_exactly`
   loops until the frame is complete;
-* **truncation** — a peer dying mid-frame raises :class:`TruncatedFrame`
-  (a clean close *between* frames raises :class:`ConnectionClosed`, which
-  is the normal end-of-conversation signal);
+* **truncation** — a stream ending mid-frame raises :class:`TruncatedFrame`
+  (a clean close *between* frames raises :class:`ConnectionClosed`);
 * **oversized frames** — a length prefix beyond ``max_bytes`` raises
-  :class:`FrameTooLarge` *before* allocating, so a corrupt or hostile
-  prefix cannot balloon memory;
+  :class:`FrameTooLarge` *before* allocating, so a corrupt prefix cannot
+  balloon memory;
 * **malformed payloads** — bytes that are not valid UTF-8 JSON (or decode
-  to a non-object) raise :class:`MalformedFrame`; servers catch the shared
-  :class:`WireError` base and answer with a structured ``reject`` frame
-  rather than dying.
+  to a non-object) raise :class:`MalformedFrame`; every failure shares the
+  :class:`WireError` base.
 
 JSON cannot carry the agent payloads suites ship to eval subtrials (numpy
 weight arrays, the :class:`~repro.rl.dqn.DQNConfig` dataclass), so
 :func:`to_jsonable`/:func:`from_jsonable` wrap them: an ndarray becomes
 ``{"__wire__": "ndarray", dtype, shape, data=base64(tobytes())}`` — raw
-little-endian bytes, so the round trip is **bit-exact**, which is what
-keeps a fleet run ``suite diff``-clean against the in-process reference.
+little-endian bytes, so the round trip is **bit-exact**.
 """
 
 from __future__ import annotations
@@ -52,19 +52,19 @@ WIRE_KIND_KEY = "__wire__"
 
 
 class WireError(Exception):
-    """Base for every framing/codec failure; servers catch this and reject."""
+    """Base for every framing/codec failure."""
 
 
 class ConnectionClosed(WireError):
-    """The peer closed the stream cleanly between frames (normal EOF)."""
+    """The stream closed cleanly between frames (normal EOF)."""
 
 
 class TruncatedFrame(ConnectionClosed):
-    """The stream ended mid-frame — the peer died while sending."""
+    """The stream ended mid-frame."""
 
 
 class FrameTooLarge(WireError):
-    """A length prefix exceeded the negotiated maximum frame size."""
+    """A length prefix exceeded the maximum frame size."""
 
 
 class MalformedFrame(WireError):
@@ -80,11 +80,6 @@ def encode_frame(message: dict) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(body)) + body
-
-
-def send_frame(sock, message: dict) -> None:
-    """Encode and write one message to ``sock`` (anything with ``sendall``)."""
-    sock.sendall(encode_frame(message))
 
 
 def recv_exactly(sock, count: int) -> bytes:

@@ -1,14 +1,15 @@
 """The unified ExecutionConfig API: validation, serialization, call shape.
 
-The config is simultaneously the local API surface (``run_suite(spec,
-config=...)``) and the distributed service's lease payload, so the tests
-pin both halves: value semantics (frozen, hashable, validated) and
-bit-for-bit serialization (JSON for the wire, pickle for process pools),
-plus the one call shape: the pre-config execution keywords are gone.
+The config is the one execution surface (``run_suite(spec,
+config=...)``), so the tests pin value semantics (frozen, hashable,
+validated), bit-for-bit serialization (JSON, and pickle for process
+pools) and the one call shape: the pre-config execution keywords, and
+the TCP fleet's, are gone.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import pickle
 
@@ -80,7 +81,7 @@ class TestExecutionConfig:
         )
         restored = ExecutionConfig.from_json(config.to_json())
         assert restored == config
-        # The wire path re-serializes; the JSON itself must be stable too.
+        # Re-serializing must give the same JSON, not just an equal value.
         assert restored.to_json() == config.to_json()
 
     def test_json_is_sorted_and_plain(self):
@@ -89,7 +90,7 @@ class TestExecutionConfig:
         assert payload["chaos"] is None
 
     def test_from_dict_names_unknown_fields(self):
-        # A client built against an older config (one with the batch knob or
+        # A payload built against an older config (one with the batch knob or
         # the perf-sample count, say) gets an error naming the stale fields.
         # The removed knob's name is assembled so no literal use of it is
         # left in the tree.
@@ -108,7 +109,7 @@ class TestExecutionConfig:
             ExecutionConfig.from_json(json.dumps({"batch": 4}))
 
     def test_payloads_missing_fields_load_with_defaults(self):
-        # Older wire payloads that predate a field still load.
+        # Older payloads that predate a field still load.
         payload = ExecutionConfig(jobs=3).to_dict()
         del payload["chaos"]
         del payload["reuse_evals"]
@@ -153,6 +154,8 @@ REMOVED_KEYWORDS = [
     ("run_suite", "timeout_s", 5.0),
     ("run_suite", "retries", 0),
     ("run_suite", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
+    ("run_suite", "workers", "tcp://x:1"),
+    ("run_suite", "_dispatch", object()),
     ("run_scenarios", "jobs", 2),
     ("run_scenarios", "engine", "event"),
     ("run_scenarios", "policy", SupervisionPolicy()),
@@ -199,10 +202,26 @@ class TestOneCallShape:
         ]
 
     @pytest.mark.parametrize(
-        "name", ["coalesce_execution_config", "TrialPool", "default_chunk_size", "subtrial_key"]
+        "name",
+        [
+            "coalesce_execution_config",
+            "TrialPool",
+            "default_chunk_size",
+            "subtrial_key",
+            "LeaseBook",
+            "ServiceError",
+            "ServiceWorker",
+            "SuiteBroker",
+            "parse_workers_url",
+            "submit_suite",
+        ],
     )
     def test_removed_names_are_not_exported(self, name):
         import repro.exp
 
         assert name not in repro.exp.__all__
         assert not hasattr(repro.exp, name)
+
+    def test_the_fleet_service_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.exp.service")

@@ -278,6 +278,22 @@ class TestSupervisedTrialPool:
         assert pool.last_attempts[2] >= 2
 
     @pytest.mark.slow
+    def test_trial_that_stalls_every_attempt_is_quarantined_as_a_timeout(self):
+        chaos = ChaosPolicy(
+            rules=tuple(ChaosRule("stall", 1, attempt, stall_s=60.0) for attempt in range(2))
+        )
+        with SupervisedTrialPool(
+            2,
+            policy=SupervisionPolicy(timeout_s=1.0, max_retries=1, backoff_s=0.01),
+            chaos=chaos,
+        ) as pool:
+            with pytest.raises(TrialExecutionError) as excinfo:
+                pool.run(_double, [1, 2, 3], labels=["a", "b", "c"])
+        [failure] = excinfo.value.failures
+        assert (failure.label, failure.kind, failure.attempts) == ("b", "timeout", 2)
+        assert excinfo.value.results == [2, None, 6]
+
+    @pytest.mark.slow
     def test_irrecoverable_pool_degrades_to_serial(self):
         # Kill trial 0's first four attempts: three rebuilds exhaust
         # max_rebuilds=2, the pool falls back in-process (kill degrades to

@@ -2,9 +2,11 @@
 
 import dataclasses
 import importlib.util
+import io
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.exp.runner import TrialExecutionError
 from repro.exp.scenarios import scenario_names
 from repro.exp.suites import (
     RESULTS_SCHEMA,
+    JournalMismatchError,
     SuiteJournal,
     SuiteSpec,
     SuiteUnit,
@@ -28,6 +31,7 @@ from repro.exp.suites import (
     run_suite_subtrial,
     suite_for_artifact,
 )
+from repro.exp.wire import encode_frame, recv_frame
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 PAPER_ARTIFACTS = (
@@ -451,6 +455,12 @@ class TestBuildExperiment:
             suites.build_experiment({"preset": "enormous"})
 
 
+def _reframe(subtrial: Subtrial) -> list:
+    """``subtrial.to_wire()`` through one encode/decode frame trip."""
+    frame = encode_frame({"subtrial": subtrial.to_wire()})
+    return recv_frame(SimpleNamespace(recv=io.BytesIO(frame).read))["subtrial"]
+
+
 class TestSubtrial:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown subtrial kind 'warp'"):
@@ -462,27 +472,31 @@ class TestSubtrial:
         source["policy"] = "mutated"
         assert subtrial.params == {"policy": "random"}
 
-    def test_wire_round_trip(self):
+    def test_to_wire_frames_back_to_an_equal_subtrial(self):
         subtrial = Subtrial("sweep", {"rate": 0.1, "pattern": "uniform"})
-        assert Subtrial.from_wire(subtrial.to_wire()) == subtrial
+        kind, params = _reframe(subtrial)
+        assert Subtrial(kind, params) == subtrial
+        assert Subtrial(kind, params).key == subtrial.key
 
     @pytest.mark.parametrize(
-        "payload",
-        [
-            None,
-            "sweep",
-            ["sweep"],
-            ["sweep", {}, {}],
-            [7, {}],
-            ["sweep", [("rate", 0.1)]],
-            {"sweep": {}},
-        ],
-        ids=["none", "string", "one-item", "three-items", "non-str-kind",
-             "pair-list-params", "mapping"],
+        "name", ["fig1-smoke", "fig2-smoke", "hotpath-smoke", "table3-smoke"]
     )
-    def test_from_wire_rejects_malformed_payloads(self, payload):
-        with pytest.raises(ValueError, match=r"\[kind, params\] pair"):
-            Subtrial.from_wire(payload)
+    def test_every_suite_subtrial_survives_the_frame_codec(self, name):
+        # The ledger's suite_fanout probe frames exactly these shapes; the
+        # content key (what the journal is keyed on) must survive the trip.
+        spec = get_suite(name)
+        assert not spec.needs_training()
+        subtrials = [
+            subtrial
+            for unit in spec.units
+            if unit.kind != "train"
+            for subtrial in expand_unit(unit)
+        ]
+        assert subtrials
+        for subtrial in subtrials:
+            kind, params = _reframe(subtrial)
+            assert kind == subtrial.kind
+            assert Subtrial(kind, params).key == subtrial.key
 
     def test_key_is_stable_and_agent_fingerprinted(self):
         a = Subtrial("eval", {"policy": "random", "seed": 1})
@@ -607,6 +621,54 @@ class TestResumableSuites:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows and all(row.get("key") != "stale" for row in rows)
 
+    def test_resume_refuses_a_journal_from_another_config(self, tmp_path):
+        run_suite("fig1-smoke", out_dir=tmp_path)
+        journal_path = tmp_path / "fig1-smoke.journal.jsonl"
+        before = journal_path.read_bytes()
+        with pytest.raises(JournalMismatchError):
+            run_suite(
+                "fig1-smoke",
+                config=ExecutionConfig(engine="event"),
+                out_dir=tmp_path,
+                resume=True,
+            )
+        assert journal_path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "config",
+        [ExecutionConfig(train_jobs=2), ExecutionConfig(engine="flow")],
+        ids=["train-jobs", "flow-engine"],
+    )
+    def test_resume_refuses_every_outcome_affecting_change(self, tmp_path, config):
+        run_suite("fig1-smoke", out_dir=tmp_path)
+        with pytest.raises(JournalMismatchError):
+            run_suite("fig1-smoke", config=config, out_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExecutionConfig(jobs=2),
+            ExecutionConfig(reuse_evals=True),
+            ExecutionConfig(supervision=SupervisionPolicy(max_retries=0)),
+            ExecutionConfig(chaos=ChaosPolicy(rules=(ChaosRule("raise", 0),))),
+            ExecutionConfig(engine="cycle"),
+        ],
+        ids=["jobs", "reuse-evals", "supervision", "chaos", "explicit-default-engine"],
+    )
+    def test_resume_accepts_a_config_that_only_reschedules(self, tmp_path, config):
+        clean = run_suite("fig1-smoke", out_dir=tmp_path)
+        # Drop the last journaled subtrial so the resume dispatches real
+        # work under the new config, not just journal reads.
+        journal_path = tmp_path / "fig1-smoke.journal.jsonl"
+        lines = journal_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        journal_path.write_text("".join(lines[:-1]), encoding="utf-8")
+        keyed = len(SuiteJournal(journal_path).load())
+        resumed = run_suite("fig1-smoke", config=config, out_dir=tmp_path, resume=True)
+        assert resumed.resumed_subtrials == keyed
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), resumed.deterministic_payload()
+        ) == []
+
     def test_telemetry_rows_carry_attempt_accounting(self):
         rows = []
 
@@ -639,10 +701,10 @@ def _eval_suite(name="eval-dispatch-test"):
     )
 
 
-class _RecordingDispatch:
-    """A ``_dispatch`` executor that runs tasks in-process and records them."""
+class _RecordingPool:
+    """Stands in for ``SupervisedTrialPool``: runs tasks in-process, records them."""
 
-    def __init__(self):
+    def __init__(self, jobs, *, policy, chaos):
         self.tasks = []
         self.labels = []
 
@@ -661,17 +723,24 @@ class _RecordingDispatch:
 
 
 class TestSubtrialDispatch:
-    def test_each_subtrial_is_dispatched_as_its_own_task(self):
+    def test_each_subtrial_is_dispatched_as_its_own_task(self, monkeypatch):
         spec = _eval_suite()
-        dispatch = _RecordingDispatch()
-        outcome = run_suite(spec, config=ExecutionConfig(), _dispatch=dispatch)
+        reference = run_suite(spec, config=ExecutionConfig())
+        pools = []
+
+        def recording_pool(jobs, *, policy, chaos):
+            pools.append(_RecordingPool(jobs, policy=policy, chaos=chaos))
+            return pools[-1]
+
+        monkeypatch.setattr(suites, "SupervisedTrialPool", recording_pool)
+        outcome = run_suite(spec, config=ExecutionConfig())
+        (dispatch,) = pools
         expected = [subtrial for unit in spec.units for subtrial in expand_unit(unit)]
         assert dispatch.tasks == expected
         assert all(isinstance(task, Subtrial) for task in dispatch.tasks)
         assert dispatch.labels == [
             f"{unit.name}[{position}]" for position, unit in enumerate(spec.units)
         ]
-        reference = run_suite(spec, config=ExecutionConfig())
         assert suites.diff_payloads(
             reference.deterministic_payload(), outcome.deterministic_payload()
         ) == []
@@ -708,6 +777,40 @@ class TestSuiteChaos:
         assert suites.diff_payloads(
             clean.deterministic_payload(), perturbed.deterministic_payload()
         ) == []
+
+    @pytest.mark.slow
+    def test_parallel_killed_worker_matches_clean_run(self):
+        clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
+        chaos = ChaosPolicy(rules=(ChaosRule("kill", 0),))
+        killed = run_suite(
+            "fig1-smoke",
+            config=ExecutionConfig(
+                jobs=2, supervision=SupervisionPolicy(backoff_s=0.01), chaos=chaos
+            ),
+        )
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), killed.deterministic_payload()
+        ) == []
+
+    @pytest.mark.slow
+    def test_parallel_stalled_subtrial_times_out_and_matches_clean_run(self):
+        clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
+        chaos = ChaosPolicy(rules=(ChaosRule("stall", 2, stall_s=60.0),))
+        rows = []
+        stalled = run_suite(
+            "fig1-smoke",
+            config=ExecutionConfig(
+                jobs=2,
+                supervision=SupervisionPolicy(timeout_s=3.0, backoff_s=0.01),
+                chaos=chaos,
+            ),
+            telemetry=SimpleNamespace(emit=rows.append),
+        )
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), stalled.deterministic_payload()
+        ) == []
+        subtrial_rows = [row for row in rows if row["source"] == "subtrial"]
+        assert subtrial_rows[2]["attempts"] >= 2
 
     def test_poison_subtrial_quarantines_then_resume_completes(self, tmp_path):
         clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))

@@ -1,13 +1,25 @@
 """Tests for the live telemetry tap: sink, read-back and field registry."""
 
 import io
+import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.exp.chaos import ChaosPolicy, ChaosRule
+from repro.exp.execution import ExecutionConfig
 from repro.exp.scenarios import run_scenario
-from repro.exp.suites import DIFF_IGNORED_KEYS, diff_payloads, run_suite
+from repro.exp.suites import (
+    DIFF_IGNORED_KEYS,
+    diff_payloads,
+    expand_unit,
+    get_suite,
+    run_suite,
+)
 from repro.exp.telemetry import (
+    SCHEDULING_FIELDS,
     TELEMETRY_FIELDS,
+    TELEMETRY_SOURCES,
     WALL_CLOCK_FIELDS,
     TelemetrySink,
     read_telemetry,
@@ -131,6 +143,36 @@ class TestLiveTaps:
                 key: value for key, value in record.items() if key in TELEMETRY_FIELDS
             }
 
+    def test_suite_rows_carry_only_registered_sources_and_fields(self):
+        spec = get_suite("fig1-smoke")
+        rows = []
+        run_suite(spec, telemetry=SimpleNamespace(emit=rows.append))
+        subtrials = sum(len(expand_unit(unit)) for unit in spec.units)
+        # Raw rows, before any sink normalizes them: one "subtrial" row per
+        # subtrial, then one "perf" row per unit, and no unregistered field.
+        assert [row["source"] for row in rows] == (
+            ["subtrial"] * subtrials + ["perf"] * len(spec.units)
+        )
+        assert {row["source"] for row in rows} <= set(TELEMETRY_SOURCES)
+        assert all(set(row) <= set(TELEMETRY_FIELDS) for row in rows)
+
+    def test_attempt_accounting_lands_in_telemetry_not_in_the_artifact(self, tmp_path):
+        rows = []
+        chaos = ChaosPolicy(rules=(ChaosRule("raise", 0),))
+        run_suite(
+            "fig1-smoke",
+            config=ExecutionConfig(chaos=chaos),
+            out_dir=tmp_path,
+            telemetry=SimpleNamespace(emit=rows.append),
+        )
+        subtrial_rows = [row for row in rows if row["source"] == "subtrial"]
+        assert (subtrial_rows[0]["attempts"], subtrial_rows[0]["retries"]) == (2, 1)
+        journal = (tmp_path / "fig1-smoke.journal.jsonl").read_text(encoding="utf-8")
+        keyed = [row for row in map(json.loads, journal.splitlines()) if "key" in row]
+        assert max(row["attempts"] for row in keyed) == 2
+        artifact = (tmp_path / "fig1-smoke.json").read_text(encoding="utf-8")
+        assert not any(f'"{field}"' in artifact for field in SCHEDULING_FIELDS)
+
     def test_suite_tap_csv_matches_jsonl_rows(self, tmp_path):
         source = tmp_path / "tap.jsonl"
         mirrored = tmp_path / "tap.csv"
@@ -151,3 +193,9 @@ class TestWallClockFieldRegistry:
         assert NONDETERMINISTIC_FIELDS == WALL_CLOCK_FIELDS | SCHEDULING_FIELDS
         assert "episodes_per_second" in DIFF_IGNORED_KEYS
         assert "attempts" in DIFF_IGNORED_KEYS
+
+    def test_scheduling_fields_are_streamed_tap_columns(self):
+        # Outside the journal, attempt accounting is visible only in the
+        # tap: every scheduling field must be a column, none a wall clock.
+        assert SCHEDULING_FIELDS <= set(TELEMETRY_FIELDS)
+        assert not SCHEDULING_FIELDS & WALL_CLOCK_FIELDS

@@ -1,4 +1,4 @@
-"""The service wire format: framing edge cases and codec bit-exactness.
+"""The subtrial frame codec: framing edge cases and codec bit-exactness.
 
 Everything runs against an in-memory fake socket, which is the point of
 keeping the framing functions duck-typed: partial reads, clean closes,
@@ -22,7 +22,6 @@ from repro.exp.wire import (
     from_jsonable,
     recv_exactly,
     recv_frame,
-    send_frame,
     to_jsonable,
 )
 from repro.rl.dqn import DQNConfig
@@ -51,7 +50,7 @@ class FakeSocket:
 class TestFraming:
     def test_send_then_recv_round_trips(self):
         sock = FakeSocket()
-        send_frame(sock, {"type": "ready", "n": 3})
+        sock.sendall(encode_frame({"type": "ready", "n": 3}))
         echo = FakeSocket(bytes(sock.sent))
         assert recv_frame(echo) == {"type": "ready", "n": 3}
 
@@ -169,7 +168,7 @@ class TestPayloadCodec:
     def test_frames_carry_wrapped_payloads_end_to_end(self):
         weights = {"w0": np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4)}
         sock = FakeSocket()
-        send_frame(sock, {"type": "result", "payload": {"agent": weights}})
+        sock.sendall(encode_frame({"type": "result", "payload": {"agent": weights}}))
         received = recv_frame(FakeSocket(bytes(sock.sent), chunk=5))
         out = received["payload"]["agent"]["w0"]
         assert out.tobytes() == weights["w0"].tobytes()

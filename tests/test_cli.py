@@ -69,7 +69,6 @@ class TestParser:
             ["sweep", "--rates", "0.05", "--cycles", "100"],
             ["scenarios", "run", "uniform", "--epochs", "1", "--epoch-cycles", "50"],
             ["train", "--preset", "small", "--episodes", "1"],
-            ["serve", "--port", "0", "--once"],
         ],
     )
     def test_engine_auto_is_rejected_on_every_runner(self, argv, capsys):
@@ -443,8 +442,9 @@ class TestTelemetryFlag:
         assert {row["rate"] for row in rows} == {0.05, 0.2}
 
 
-class TestRemovedPerfSurfaces:
-    """Entry points of the deleted perf stack fail with argparse's exit 2."""
+class TestRemovedSurfaces:
+    """Entry points of the deleted perf stack and TCP broker/worker fleet
+    fail with argparse's exit 2."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -456,6 +456,9 @@ class TestRemovedPerfSurfaces:
             ["suite", "run", "fig1-smoke", "--baseline", "suites.json"],
             ["suite", "run", "fig1-smoke", "--tolerance", "0.5"],
             ["suite", "run", "fig1-smoke", "--repeats", "3"],
+            ["serve"],
+            ["worker", "--connect", "tcp://127.0.0.1:1"],
+            ["suite", "run", "fig1-smoke", "--workers", "tcp://127.0.0.1:1"],
         ],
     )
     def test_removed_commands_and_flags_exit_two(self, argv):
@@ -484,6 +487,25 @@ class TestSuiteFaultTolerance:
     def test_resume_without_out_rejected(self, capsys):
         assert cli.main(["suite", "run", "fig1-smoke", "--resume"]) == 2
         assert "--resume requires --out" in capsys.readouterr().err
+
+    def test_resume_refuses_a_journal_from_another_config(self, capsys, tmp_path):
+        out = str(tmp_path)
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(
+            ["suite", "run", "fig1-smoke", "--resume", "--engine", "event",
+             "--out", out]
+        ) == 2
+        assert "different suite revision" in capsys.readouterr().err
+
+    def test_resume_under_another_jobs_count_is_accepted(self, capsys, tmp_path):
+        out = str(tmp_path)
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(
+            ["suite", "run", "fig1-smoke", "--resume", "--jobs", "2", "--out", out]
+        ) == 0
+        assert "resumed" in capsys.readouterr().out
 
     def test_bad_chaos_spec_rejected(self, capsys):
         assert cli.main(["suite", "run", "fig1-smoke", "--chaos", "explode:0"]) == 2
