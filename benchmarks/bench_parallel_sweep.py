@@ -1,9 +1,9 @@
 """Serial-vs-parallel wall-clock for the Figure-1 load/latency sweep.
 
-Runs the same sweep through the experiment engine once with ``jobs=1`` and
-once with ``jobs=N`` (``REPRO_BENCH_JOBS``, default CPU count), verifies the
-two result sequences are identical, and records the speedup to
-``benchmarks/results/parallel_sweep.json``.
+Runs the same ad-hoc sweep suite through :func:`repro.exp.suites.run_suite`
+once with ``jobs=1`` and once with ``jobs=N`` (``REPRO_BENCH_JOBS``, default
+CPU count), verifies the two deterministic payloads are identical, and
+records the speedup to ``benchmarks/results/parallel_sweep.json``.
 
 The ≥2x speedup assertion only applies on machines with at least four
 cores; on smaller hosts the artefact is still written but the check is
@@ -18,9 +18,8 @@ import time
 
 import pytest
 
-from repro.analysis.sweep import load_latency_sweep
-from repro.exp.suites import RESULTS_SCHEMA, perf_record
-from repro.noc import SimulatorConfig
+from repro.exp.execution import ExecutionConfig
+from repro.exp.suites import RESULTS_SCHEMA, SuiteSpec, SuiteUnit, perf_record, run_suite
 
 RATES = [0.02, 0.08, 0.15, 0.25, 0.40, 0.60]
 # Two trials per rate, expensive (high-load) points first: high loads cost
@@ -28,29 +27,34 @@ RATES = [0.02, 0.08, 0.15, 0.25, 0.40, 0.60]
 # speedup near 2x via load imbalance alone; doubling the list and packing
 # heavy trials first keeps the pool busy and amortises worker startup.
 SWEEP_RATES = sorted(RATES * 2, reverse=True)
-SWEEP_KWARGS = dict(pattern="uniform", warmup_cycles=400, measure_cycles=1_200, seed=3)
+SWEEP_PARAMS = dict(
+    width=4, pattern="uniform", warmup_cycles=400, measure_cycles=1_200, seed=3
+)
+SPEC = SuiteSpec(
+    name="parallel-sweep",
+    description="fig1's load/latency sweep, every rate twice",
+    units=(SuiteUnit("sweep", "sweep", {**SWEEP_PARAMS, "rates": SWEEP_RATES}),),
+)
 
 
 @pytest.mark.bench
 def test_parallel_sweep_speedup(report, results_dir, bench_jobs):
-    config = SimulatorConfig(width=4)
-
     start = time.perf_counter()
-    serial_points = load_latency_sweep(config, SWEEP_RATES, jobs=1, **SWEEP_KWARGS)
+    serial = run_suite(SPEC, config=ExecutionConfig(jobs=1))
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_points = load_latency_sweep(
-        config, SWEEP_RATES, jobs=bench_jobs, **SWEEP_KWARGS
-    )
+    parallel = run_suite(SPEC, config=ExecutionConfig(jobs=bench_jobs))
     parallel_seconds = time.perf_counter() - start
 
-    assert serial_points == parallel_points, "parallel sweep diverged from serial"
+    assert (
+        serial.deterministic_payload() == parallel.deterministic_payload()
+    ), "parallel sweep diverged from serial"
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
     cpu_count = os.cpu_count() or 1
     total_cycles = len(SWEEP_RATES) * (
-        SWEEP_KWARGS["warmup_cycles"] + SWEEP_KWARGS["measure_cycles"]
+        SWEEP_PARAMS["warmup_cycles"] + SWEEP_PARAMS["measure_cycles"]
     )
     artefact = {
         "trials": len(SWEEP_RATES),

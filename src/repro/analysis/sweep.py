@@ -5,11 +5,11 @@ curve (Figure 1) and the routing throughput comparison (Figure 2) — and are
 also used by the tests to confirm the simulator reproduces the canonical
 saturation behaviour.
 
-Every sweep point is an independent trial, so both sweeps accept ``jobs``
-and fan out through :func:`repro.exp.runner.run_trials`: trials are plain
-:class:`SweepTrial` specs and results plain :class:`LoadLatencyPoint`
-records, so nothing but picklable data crosses process boundaries and
-``jobs=1`` and ``jobs=N`` produce identical sequences.
+Both sweeps are serial helpers.  Every sweep point is an independent,
+picklable :class:`SweepTrial` measured by :func:`measure_sweep_point` into a
+plain :class:`LoadLatencyPoint`, which is what lets the suite engine's
+``sweep`` units (``run_suite``) fan the same points over a process pool;
+parallel sweeps go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.exp.runner import run_trials
 from repro.noc.network import NoCSimulator, SimulatorConfig
 from repro.traffic.generator import TrafficGenerator
 
@@ -105,15 +104,13 @@ def load_latency_sweep(
     measure_cycles: int = 1_500,
     seed: int = 0,
     dvfs_level: int = 0,
-    jobs: int = 1,
     engine: str | None = None,
     **pattern_kwargs,
 ) -> list[LoadLatencyPoint]:
     """Average latency and accepted throughput as the offered load sweeps up.
 
-    ``jobs > 1`` runs the points on a process pool; the result sequence is
-    identical to the serial one.  ``engine`` overrides the config's
-    execution engine (results are engine-agnostic; see :mod:`repro.engines`).
+    ``engine`` overrides the config's execution engine (results are
+    engine-agnostic; see :mod:`repro.engines`).
     """
     if not injection_rates:
         raise ValueError("at least one injection rate is required")
@@ -134,7 +131,7 @@ def load_latency_sweep(
         )
         for rate in injection_rates
     ]
-    return run_trials(measure_sweep_point, trials, jobs=jobs)
+    return [measure_sweep_point(trial) for trial in trials]
 
 
 def routing_throughput_sweep(
@@ -145,39 +142,21 @@ def routing_throughput_sweep(
     warmup_cycles: int = 500,
     measure_cycles: int = 1_500,
     seed: int = 0,
-    jobs: int = 1,
     engine: str | None = None,
 ) -> dict[str, list[LoadLatencyPoint]]:
-    """Load sweep repeated for several routing algorithms (Figure 2).
-
-    All (algorithm, rate) combinations share one trial pool, so parallelism
-    is over the full cross product rather than one algorithm at a time.
-    """
-    if not injection_rates:
-        raise ValueError("at least one injection rate is required")
-    if any(rate < 0 for rate in injection_rates):
-        raise ValueError("injection rates must be non-negative")
-    if engine is not None:
-        simulator_config = replace(simulator_config, engine=engine)
-    trials = [
-        SweepTrial(
-            simulator_config=replace(simulator_config, routing=routing),
+    """Load sweep repeated for several routing algorithms (Figure 2)."""
+    return {
+        routing: load_latency_sweep(
+            replace(simulator_config, routing=routing),
+            injection_rates,
             pattern=pattern,
-            rate=rate,
             warmup_cycles=warmup_cycles,
             measure_cycles=measure_cycles,
             seed=seed,
-            dvfs_level=0,
+            engine=engine,
         )
         for routing in routing_algorithms
-        for rate in injection_rates
-    ]
-    points = run_trials(measure_sweep_point, trials, jobs=jobs)
-    results: dict[str, list[LoadLatencyPoint]] = {}
-    per_algorithm = len(injection_rates)
-    for index, routing in enumerate(routing_algorithms):
-        results[routing] = points[index * per_algorithm : (index + 1) * per_algorithm]
-    return results
+    }
 
 
 def saturation_rate(points: list[LoadLatencyPoint]) -> float:

@@ -7,6 +7,8 @@ Installed as the ``repro-noc`` console script (or invoked as
   ``--jobs N`` fans the sweep points out over a process pool;
 * ``scenarios`` — list the named experiment scenarios or run a selection of
   them (``scenarios list`` / ``scenarios run NAME... --jobs N``);
+  ``sweep`` and ``scenarios run`` each build an ad-hoc suite and run it
+  through :func:`repro.exp.run_suite`, the same engine as ``suite run``;
 * ``suite``     — list, describe, run or diff the registered benchmark
   suites (one per paper figure/table, plus CI-sized ``-smoke`` variants);
   ``suite diff A.json B.json`` compares two stored artefacts row by row
@@ -28,16 +30,18 @@ Installed as the ``repro-noc`` console script (or invoked as
 
 Execution flags are shared: ``sweep``, ``scenarios run``, ``suite run``
 and ``train`` all accept the same
-``--jobs/--train-jobs/--engine/--timeout/--retries/--telemetry`` group
-(one argparse parent), mapping 1:1 onto
+``--jobs/--engine/--timeout/--retries/--telemetry`` group (one argparse
+parent; ``suite run`` and ``train``, which train a controller, add
+``--train-jobs``), mapping 1:1 onto
 :class:`repro.exp.execution.ExecutionConfig` via
 :func:`execution_config_from_args`.  ``--engine cycle|event`` selects the
 pluggable execution backends of :mod:`repro.engines`; simulated outcomes
 are byte-identical across exact engines, so the flag is purely a perf
 choice (``--engine flow`` is approximate; see ``engines list``).
-``--telemetry PATH`` streams live rows (CSV when the path ends in ``.csv``,
-JSONL otherwise).  Speed itself is measured by the perf ledger
-(``benchmarks/ledger/``), not by this CLI.
+``--telemetry PATH`` streams the suite engine's live ``subtrial`` and
+``perf`` rows (CSV when the path ends in ``.csv``, JSONL otherwise).
+Speed itself is measured by the perf ledger (``benchmarks/ledger/``), not
+by this CLI.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import format_series, format_table, summarize_trace
-from repro.analysis.sweep import load_latency_sweep
 from repro.baselines import (
     RandomPolicy,
     ThresholdDvfsPolicy,
@@ -67,7 +70,6 @@ from repro.exp import (
     get_suite,
     paper_suites,
     parse_chaos_spec,
-    run_scenarios,
     run_suite,
     scenario_names,
     suite_names,
@@ -80,10 +82,12 @@ from repro.exp.suites import (
     APPROX_DIFF_TOLERANCES,
     DIFF_IGNORED_KEYS,
     JournalMismatchError,
+    SuiteOutcome,
+    SuiteSpec,
+    SuiteUnit,
     diff_payloads,
 )
 from repro.exp.telemetry import TelemetrySink
-from repro.noc import SimulatorConfig
 
 BASELINE_NAMES = ("static-max", "static-min", "heuristic", "random")
 
@@ -101,6 +105,13 @@ def _non_negative_int(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {value!r}"
         )
+    return number
+
+
+def _non_negative_float(value: str) -> float:
+    number = float(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value!r}")
     return number
 
 
@@ -136,15 +147,16 @@ def _write_json(path: str, payload) -> None:
         json.dump(payload, handle, indent=2)
 
 
-def _execution_parent() -> argparse.ArgumentParser:
+def _execution_parent(*, train_jobs: bool) -> argparse.ArgumentParser:
     """The shared execution-flag group (argparse parent).
 
     ``sweep``, ``scenarios run``, ``suite run`` and ``train`` all inherit
-    these six flags, so execution knobs parse identically everywhere and
-    map 1:1 onto :class:`~repro.exp.execution.ExecutionConfig` (see
-    :func:`execution_config_from_args`).  Defaults are ``None`` so commands
-    can tell "left alone" from "explicitly set" (e.g. ``train`` treats
-    ``--jobs`` as a synonym for ``--train-jobs``).
+    these flags, so execution knobs parse identically everywhere and map
+    1:1 onto :class:`~repro.exp.execution.ExecutionConfig` (see
+    :func:`execution_config_from_args`).  ``train_jobs`` adds
+    ``--train-jobs`` for the commands that train a controller.  Defaults
+    are ``None`` so commands can tell "left alone" from "explicitly set"
+    (e.g. ``train`` treats ``--jobs`` as a synonym for ``--train-jobs``).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group(
@@ -157,12 +169,13 @@ def _execution_parent() -> argparse.ArgumentParser:
         help="worker processes for the simulation trials (default 1 = "
         "in-process serial)",
     )
-    group.add_argument(
-        "--train-jobs",
-        type=_positive_int,
-        default=None,
-        help="actor processes for controller training (default 1)",
-    )
+    if train_jobs:
+        group.add_argument(
+            "--train-jobs",
+            type=_positive_int,
+            default=None,
+            help="actor processes for controller training (default 1)",
+        )
     group.add_argument(
         "--engine",
         default=None,
@@ -193,17 +206,12 @@ def _execution_parent() -> argparse.ArgumentParser:
 
 
 def execution_config_from_args(
-    args: argparse.Namespace,
-    *,
-    engine: str | None = ...,  # type: ignore[assignment]
-    reuse_evals: bool = False,
-    chaos=None,
+    args: argparse.Namespace, *, chaos=None
 ) -> ExecutionConfig:
     """Map the shared execution flags 1:1 onto an :class:`ExecutionConfig`.
 
-    ``engine`` overrides ``args.engine`` when the command has already
-    resolved it (``None`` explicitly defers to the spec's own engine); the
-    remaining keywords carry knobs that live outside the shared flag group.
+    ``chaos`` carries ``suite run``'s hidden fault script, which lives
+    outside the shared flag group.
     """
     supervision_knobs: dict = {}
     if args.timeout is not None:
@@ -212,9 +220,8 @@ def execution_config_from_args(
         supervision_knobs["max_retries"] = args.retries
     return ExecutionConfig(
         jobs=args.jobs or 1,
-        train_jobs=args.train_jobs or 1,
-        engine=args.engine if engine is ... else engine,
-        reuse_evals=reuse_evals,
+        train_jobs=getattr(args, "train_jobs", None) or 1,
+        engine=args.engine,
         supervision=SupervisionPolicy(**supervision_knobs),
         chaos=chaos,
     )
@@ -226,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="DRL self-configurable NoC: sweeps, training, evaluation.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    execution = _execution_parent()
+    execution = _execution_parent(train_jobs=False)
+    training_execution = _execution_parent(train_jobs=True)
 
     sweep = subparsers.add_parser(
         "sweep", help="load/latency sweep of a mesh", parents=[execution]
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--routing", default="xy", help="routing algorithm name")
     sweep.add_argument(
         "--rates",
-        type=float,
+        type=_non_negative_float,
         nargs="+",
         default=[0.05, 0.15, 0.25, 0.40],
         help="offered loads to sweep (flits/node/cycle)",
@@ -271,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--epoch-cycles", type=_positive_int, default=None, help="override cycles per epoch"
     )
     scenarios_run.add_argument(
-        "--json", dest="json_path", help="also write full per-epoch results to this file"
+        "--json",
+        dest="json_path",
+        help="also write the run's suite artefact to this file (compare two "
+        "with `suite diff`)",
     )
 
     suite = subparsers.add_parser(
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite_run = suite_sub.add_parser(
         "run",
         help="run one or more suites through the bench engine",
-        parents=[execution],
+        parents=[training_execution],
     )
     suite_run.add_argument(
         "names",
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     train = subparsers.add_parser(
-        "train", help="train the DQN controller", parents=[execution]
+        "train", help="train the DQN controller", parents=[training_execution]
     )
     train.add_argument("--episodes", type=_positive_int, default=20)
     train.add_argument("--preset", choices=("default", "small", "joint"), default="default")
@@ -427,45 +438,47 @@ def _resolve_policy(controller: str, experiment: ExperimentConfig):
     return restored.to_policy(name=f"drl[{controller}]")
 
 
+def _run_adhoc_suite(spec: SuiteSpec, args: argparse.Namespace) -> SuiteOutcome:
+    """Run an in-memory suite under the shared execution flags.
+
+    ``sweep`` and ``scenarios run`` go through :func:`run_suite` exactly
+    like a registered suite, so ``--telemetry`` streams its ``subtrial``
+    and ``perf`` rows.
+    """
+    config = execution_config_from_args(args)
+    if not args.telemetry:
+        return run_suite(spec, config=config)
+    with TelemetrySink(args.telemetry) as sink:
+        outcome = run_suite(spec, config=config, telemetry=sink)
+    print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
+    return outcome
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    engine = args.engine or "cycle"
-    if not _check_names("engine", [engine], selectable_engine_names()):
+    if not _check_names("engine", [args.engine or "cycle"], selectable_engine_names()):
         return 2
-    exec_config = execution_config_from_args(args, engine=engine)
-    config = SimulatorConfig(width=args.width, routing=args.routing)
-    points = load_latency_sweep(
-        config,
-        list(args.rates),
-        pattern=args.pattern,
-        measure_cycles=args.cycles,
-        dvfs_level=args.dvfs_level,
-        jobs=exec_config.jobs,
-        engine=exec_config.resolved_engine(),
+    params = {
+        "width": args.width,
+        "pattern": args.pattern,
+        "routing": args.routing,
+        "rates": list(args.rates),
+        "measure_cycles": args.cycles,
+        "dvfs_level": args.dvfs_level,
+    }
+    spec = SuiteSpec(
+        name="sweep",
+        description="ad-hoc load/latency sweep",
+        units=(SuiteUnit("sweep", "sweep", params),),
     )
-    if args.telemetry:
-        with TelemetrySink(args.telemetry) as sink:
-            for point in points:
-                sink.emit(
-                    {
-                        "source": "perf",
-                        "scenario": f"sweep/{args.pattern}",
-                        "engine": engine,
-                        "rate": point.injection_rate,
-                        "average_latency": point.average_latency,
-                        "packets_delivered": point.delivered_packets,
-                        "wall_s": point.wall_time_s,
-                        "cycles_per_s": point.cycles_per_second,
-                    }
-                )
-            print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
+    rows = _run_adhoc_suite(spec, args).rows("sweep")
     print(
         format_series(
             "offered_load",
-            [point.injection_rate for point in points],
+            [row["rate"] for row in rows],
             {
-                "latency": [point.average_latency for point in points],
-                "throughput": [point.throughput for point in points],
-                "energy_per_flit_pj": [point.energy_per_flit_pj for point in points],
+                "latency": [row["average_latency"] for row in rows],
+                "throughput": [row["throughput"] for row in rows],
+                "energy_per_flit_pj": [row["energy_per_flit_pj"] for row in rows],
             },
             title=f"Load sweep — {args.width}x{args.width} mesh, {args.pattern}, {args.routing}",
         )
@@ -491,57 +504,40 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         print(format_table(rows, title="Registered scenarios"))
         return 0
 
-    names = list(args.names) or list(scenario_names())
+    # Suite unit names must be unique; a repeated name re-ran the same seeds.
+    names = list(dict.fromkeys(args.names)) or list(scenario_names())
     if not _check_names("scenario", names, scenario_names()):
         return 2
     if args.engine is not None and not _check_names(
         "engine", [args.engine], selectable_engine_names()
     ):
         return 2
-    config = execution_config_from_args(args)
-    sink = TelemetrySink(args.telemetry) if args.telemetry else None
-    if sink is not None and config.jobs > 1:
-        # Workers forward rows through a manager queue to a parent-side
-        # drainer (see run_scenarios), so the tap works at any --jobs;
-        # only the interleaving across scenarios is nondeterministic.
-        print("telemetry: parallel run — per-epoch row order is nondeterministic")
-    try:
-        results = run_scenarios(
-            names,
-            config=config,
-            seed=args.seed,
-            repeats=args.repeats,
-            epochs=args.epochs,
-            epoch_cycles=args.epoch_cycles,
-            telemetry=sink,
-        )
-        if sink is not None:
-            for result in results:
-                spec = get_scenario(result.scenario)
-                sink.emit(
-                    {
-                        "source": "perf",
-                        "scenario": result.scenario,
-                        "engine": config.engine or spec.engine or "cycle",
-                        "n_nodes": spec.width * (spec.height or spec.width),
-                        "seed": result.seed,
-                        "cycles": result.cycles,
-                        "packets_delivered": result.packets_delivered,
-                        "average_latency": result.average_latency,
-                        "energy_total_pj": result.energy_total_pj,
-                        "wall_s": result.wall_time_s,
-                        "cycles_per_s": result.cycles_per_second,
-                    }
-                )
-    finally:
-        if sink is not None:
-            sink.close()
-    print(format_table([result.summary() for result in results], title="Scenario runs"))
-    if sink is not None:
-        print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
+    spec = SuiteSpec(
+        name="scenarios",
+        description="ad-hoc scenario run",
+        units=tuple(
+            SuiteUnit(
+                name,
+                "scenario",
+                {
+                    "scenario": name,
+                    "seed": args.seed,
+                    "repeats": args.repeats,
+                    "epochs": args.epochs,
+                    "epoch_cycles": args.epoch_cycles,
+                    # A spec's own engine applies unless --engine is given.
+                    "engine": args.engine or get_scenario(name).engine,
+                },
+            )
+            for name in names
+        ),
+    )
+    outcome = _run_adhoc_suite(spec, args)
+    rows = [row for unit in outcome.units for row in unit["rows"]]
+    print(format_table(rows, title="Scenario runs"))
     if args.json_path:
-        _write_json(args.json_path, [result.to_dict() for result in results])
-        print(f"full results written to {args.json_path}")
+        _write_json(args.json_path, outcome.to_payload())
+        print(f"suite artefact written to {args.json_path}")
     return 0
 
 
@@ -642,8 +638,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         ]
     if not _check_names("suite", names, suite_names()):
         return 2
-    engine = args.engine or "cycle"
-    if not _check_names("engine", [engine], selectable_engine_names()):
+    if not _check_names("engine", [args.engine or "cycle"], selectable_engine_names()):
         return 2
     if args.resume and not args.out_dir:
         print(
@@ -659,7 +654,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"bad --chaos spec: {error}", file=sys.stderr)
             return 2
 
-    config = execution_config_from_args(args, engine=engine, chaos=chaos)
+    config = execution_config_from_args(args, chaos=chaos)
     sink = TelemetrySink(args.telemetry) if args.telemetry else None
     try:
         for name in names:

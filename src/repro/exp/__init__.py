@@ -1,10 +1,11 @@
-"""Experiment engine: named scenarios plus a parallel trial runner.
+"""Experiment engine: named scenarios, suites and one supervised pool.
 
-This is the substrate the sweeps, benchmarks and CLI fan out through — see
+This is the substrate the benchmarks and CLI fan out through — see
 :mod:`repro.exp.scenarios` for the scenario registry,
 :mod:`repro.exp.suites` for the suite registry (paper figures/tables as
-pure data) and its declarative bench engine,
-:mod:`repro.exp.runner` for the supervised process-pool runner
+pure data) and :func:`run_suite`, the one fan-out path (the CLI's ``sweep``
+and ``scenarios run`` are ad-hoc suites through it),
+:mod:`repro.exp.runner` for the supervised process pool
 (timeouts, bounded retries, pool rebuilds, poison-trial quarantine),
 :mod:`repro.exp.chaos` for the deterministic fault-injection harness,
 :mod:`repro.exp.training` for the sharded DQN training engine,
@@ -27,8 +28,6 @@ from repro.exp.runner import (
     SupervisedTrialPool,
     TrialExecutionError,
     TrialFailure,
-    run_scenarios,
-    run_trials,
     trial_seed,
 )
 from repro.exp.scenarios import (
@@ -132,9 +131,7 @@ __all__ = [
     "run_actor_batch",
     "run_actor_episode",
     "run_scenario",
-    "run_scenarios",
     "run_suite",
-    "run_trials",
     "scenario_names",
     "suite_for_artifact",
     "suite_names",

@@ -81,18 +81,6 @@ class ChaosRule:
             return index == self.trial
         return self.trial in (label or "")
 
-    def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "trial": self.trial,
-            "attempt": self.attempt,
-            "stall_s": self.stall_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosRule":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
 class ChaosPolicy:
@@ -144,25 +132,6 @@ class ChaosPolicy:
 
     def __bool__(self) -> bool:
         return bool(self.rules or self.kill_rate or self.raise_rate)
-
-    # Plain-data round trip: a chaos script rides inside the serializable
-    # ExecutionConfig (repro.exp.execution).
-    def to_dict(self) -> dict:
-        return {
-            "rules": [rule.to_dict() for rule in self.rules],
-            "seed": self.seed,
-            "kill_rate": self.kill_rate,
-            "raise_rate": self.raise_rate,
-            "stall_s": self.stall_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosPolicy":
-        payload = dict(payload)
-        payload["rules"] = tuple(
-            ChaosRule.from_dict(rule) for rule in payload.get("rules", ())
-        )
-        return cls(**payload)
 
 
 def execute_chaos_action(action: tuple[str, float], *, allow_kill: bool) -> None:

@@ -1,8 +1,8 @@
-"""The unified execution API: one frozen, serializable :class:`ExecutionConfig`.
+"""The unified execution API: one frozen :class:`ExecutionConfig`.
 
-:func:`repro.exp.suites.run_suite`, :func:`repro.exp.runner.run_scenarios`
-and :func:`repro.exp.training.train_dqn_sharded` take their execution knobs
-as one ``config=`` value and nothing else:
+:func:`repro.exp.suites.run_suite` and
+:func:`repro.exp.training.train_dqn_sharded` take their execution knobs as
+one ``config=`` value and nothing else:
 
 * :class:`ExecutionConfig` — a frozen dataclass holding every *execution*
   knob (worker counts, engine, eval memoization, the supervision policy
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping
+from dataclasses import dataclass, field
 
 from repro.exp.chaos import ChaosPolicy
 
@@ -68,13 +67,6 @@ class SupervisionPolicy:
         """Seconds to wait before re-running a trial that failed ``attempt``."""
         return self.backoff_s * self.backoff_factor ** max(attempt - 1, 0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SupervisionPolicy":
-        return cls(**dict(payload))
-
 
 #: The engine a config with ``engine=None`` resolves to.
 DEFAULT_ENGINE = "cycle"
@@ -82,7 +74,7 @@ DEFAULT_ENGINE = "cycle"
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Every execution knob of a run, as one frozen, serializable value.
+    """Every execution knob of a run, as one frozen value.
 
     * ``jobs`` — worker processes for subtrials/scenario trials (1 = the
       bit-identical in-process reference path).
@@ -95,8 +87,7 @@ class ExecutionConfig:
     * ``chaos`` — optional deterministic fault script (tests/CI only).
 
     The config is valid as constructed (``__post_init__`` validates), hashes
-    and compares by value, round-trips through JSON
-    (:meth:`to_json`/:meth:`from_json`) bit-for-bit, and pickles.
+    and compares by value, and pickles (the pool ships it that way).
     """
 
     jobs: int = 1
@@ -133,40 +124,3 @@ class ExecutionConfig:
             sort_keys=True,
         )
         return hashlib.sha1(blob.encode()).hexdigest()
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "train_jobs": self.train_jobs,
-            "engine": self.engine,
-            "reuse_evals": self.reuse_evals,
-            "supervision": self.supervision.to_dict(),
-            "chaos": self.chaos.to_dict() if self.chaos is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ExecutionConfig":
-        """Rebuild a config; an unknown key (a field this version no longer
-        has, say) is a ``ValueError`` naming it, not a bare ``TypeError``."""
-        payload = dict(payload)
-        unknown = sorted(set(payload) - {item.name for item in fields(cls)})
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutionConfig field(s): {', '.join(unknown)}"
-            )
-        supervision = payload.get("supervision")
-        if isinstance(supervision, Mapping):
-            payload["supervision"] = SupervisionPolicy.from_dict(supervision)
-        chaos = payload.get("chaos")
-        if isinstance(chaos, Mapping):
-            payload["chaos"] = ChaosPolicy.from_dict(chaos)
-        return cls(**payload)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ExecutionConfig":
-        return cls.from_dict(json.loads(payload))

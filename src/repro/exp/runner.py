@@ -1,13 +1,15 @@
-"""Process-pool trial runner for embarrassingly-parallel experiments.
+"""Supervised process pool for embarrassingly-parallel experiments.
 
 Every sweep point, scenario trial and benchmark figure in this repository is
 an independent simulation, so fan-out is trivial *provided* trials and their
-results cross process boundaries cleanly.  :func:`run_trials` is the single
-chokepoint: it takes a picklable module-level worker plus a list of picklable
-trial specs, runs them on a supervised ``ProcessPoolExecutor`` (results
+results cross process boundaries cleanly.  :class:`SupervisedTrialPool` is
+the one pool: it takes a picklable module-level worker plus a list of
+picklable trial specs, runs them on a ``ProcessPoolExecutor`` (results
 returned in submission order) and degrades to a plain in-process loop for
 ``jobs=1`` — which is also the reference behaviour the parallel path must
-match bit for bit.
+match bit for bit.  It has two clients: :func:`repro.exp.suites.run_suite`
+(every suite, and the CLI's ``sweep`` and ``scenarios run``, which run as
+ad-hoc suites) and the sharded DQN trainer.
 
 Determinism contract: workers must derive all randomness from their trial
 spec (every spec carries an explicit seed; :func:`trial_seed` derives
@@ -34,24 +36,19 @@ these paths byte-reproducibly in tests.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.exp.chaos import ChaosPolicy, execute_chaos_action
-from repro.exp.execution import ExecutionConfig, SupervisionPolicy
-from repro.exp.scenarios import ScenarioResult, get_scenario, run_scenario
+from repro.exp.execution import SupervisionPolicy
 
 __all__ = [
     "SupervisedTrialPool",
     "TrialExecutionError",
     "TrialFailure",
-    "run_scenarios",
-    "run_trials",
     "trial_seed",
 ]
 
@@ -120,11 +117,10 @@ def _call_with_chaos(worker, trial, chaos_action, in_pool: bool):
 class SupervisedTrialPool:
     """A reusable process pool whose every fan-out path is crash-safe.
 
-    Unlike :func:`run_trials` (which builds and tears down an executor per
-    call), a pool keeps its worker processes alive across ``run`` calls,
-    which matters for callers that fan out many small rounds — the sharded
-    DQN trainer dispatches one actor round per policy sync and would
-    otherwise pay pool startup on every round.  ``jobs=1`` degrades to a
+    A pool keeps its worker processes alive across ``run`` calls, which
+    matters for callers that fan out many small rounds — the sharded DQN
+    trainer dispatches one actor round per policy sync and would otherwise
+    pay pool startup on every round.  ``jobs=1`` degrades to a
     plain in-process loop and spawns nothing.  Use as a context manager (or
     call :meth:`close`) to release the workers.
 
@@ -508,162 +504,3 @@ class SupervisedTrialPool:
         in_flight.clear()
         self._terminate_pool()
         self._note_rebuild()
-
-
-def run_trials(
-    worker: Callable[[TrialT], ResultT],
-    trials: Iterable[TrialT],
-    *,
-    jobs: int = 1,
-    policy: SupervisionPolicy | None = None,
-    chaos: ChaosPolicy | None = None,
-) -> list[ResultT]:
-    """Run ``worker`` over ``trials``, optionally across a process pool.
-
-    Results are returned in trial order regardless of completion order.
-    ``worker`` must be a module-level function and both trials and results
-    must pickle (the in-process ``jobs=1`` path imposes no such constraint
-    but every worker in this repository honours it anyway).
-
-    Every parallel run is supervised (see :class:`SupervisedTrialPool`):
-    by default a lost worker rebuilds the pool and retries the unfinished
-    trials, so a single OOM kill no longer aborts a whole sweep.  ``policy``
-    tunes timeout/retry behaviour; ``chaos`` injects a deterministic fault
-    script (tests only).  ``jobs=1`` stays the plain reference loop.
-    """
-    with SupervisedTrialPool(jobs, policy=policy, chaos=chaos) as pool:
-        return pool.run(worker, trials)
-
-
-# ---------------------------------------------------------------------------
-# scenario fan-out
-# ---------------------------------------------------------------------------
-
-
-class _QueueTap:
-    """Worker-side telemetry sink: forwards rows onto a manager queue.
-
-    A real :class:`~repro.exp.telemetry.TelemetrySink` holds an open file
-    handle and cannot pickle into pool workers; a ``multiprocessing``
-    *manager* queue proxy can.  Workers emit onto the proxy and the parent's
-    drainer thread writes to the real sink, so ``--telemetry`` works at any
-    ``jobs`` setting.
-    """
-
-    def __init__(self, queue) -> None:
-        self._queue = queue
-
-    def emit(self, row: Mapping) -> None:
-        self._queue.put(dict(row))
-
-
-def _scenario_trial(args: tuple) -> ScenarioResult:
-    spec, seed, epochs, epoch_cycles, engine, *tail = args
-    tap = _QueueTap(tail[0]) if tail else None
-    return run_scenario(
-        spec,
-        seed=seed,
-        epochs=epochs,
-        epoch_cycles=epoch_cycles,
-        engine=engine,
-        telemetry=tap,
-    )
-
-
-def run_scenarios(
-    names: Sequence[str],
-    *,
-    config: ExecutionConfig | None = None,
-    seed: int = 0,
-    repeats: int = 1,
-    epochs: int | None = None,
-    epoch_cycles: int | None = None,
-    telemetry=None,
-) -> list[ScenarioResult]:
-    """Run the named scenarios (``repeats`` seeds each), possibly in parallel.
-
-    ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`:
-    ``config.jobs`` fans trials over a supervised process pool,
-    ``config.engine`` overrides every spec's execution engine (``None``
-    keeps each spec's own) and ``config.supervision`` tunes the pool's
-    timeout/retry budget.
-
-    With ``repeats == 1`` every scenario runs at ``seed`` exactly; with more,
-    trial ``r`` of a scenario uses ``trial_seed(seed, r)`` so replications are
-    independent yet reproducible.  Simulated outcomes are engine-agnostic
-    and never depend on ``jobs``.  Results are ordered by (name, repeat).
-
-    ``telemetry`` streams :func:`run_scenario`'s live per-epoch rows to a
-    sink (anything with ``emit(row)``) at any ``jobs`` setting.  With
-    ``jobs == 1`` rows arrive in trial order, exactly as the sequential
-    loop produces them.  With ``jobs > 1`` workers forward rows through a
-    manager queue to a parent-side drainer thread, so *row order across
-    trials is nondeterministic* (each trial's own rows stay in epoch
-    order), and a retried trial's earlier rows remain in the stream — the
-    tap is observability, not an artefact; simulated results are unchanged
-    either way.
-    """
-    config = config or ExecutionConfig()
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    # Ship the full spec (not just the name) so runtime-registered scenarios
-    # survive the trip into spawn-started workers, whose re-imported registry
-    # only contains the built-ins.
-    trials = [
-        (
-            get_scenario(name),
-            seed if repeats == 1 else trial_seed(seed, repeat),
-            epochs,
-            epoch_cycles,
-            config.engine,
-        )
-        for name in names
-        for repeat in range(repeats)
-    ]
-    if telemetry is not None and config.jobs <= 1:
-        return [
-            run_scenario(
-                spec,
-                seed=trial_seed_value,
-                epochs=trial_epochs,
-                epoch_cycles=trial_epoch_cycles,
-                engine=trial_engine,
-                telemetry=telemetry,
-            )
-            for spec, trial_seed_value, trial_epochs, trial_epoch_cycles, trial_engine in trials
-        ]
-    if telemetry is not None:
-        # Parallel tap: workers emit onto a manager-queue proxy (picklable,
-        # unlike the sink's file handle) and this drainer thread writes to
-        # the real sink.  Row order across trials is nondeterministic.
-        manager = multiprocessing.Manager()
-        queue = manager.Queue()
-
-        def _drain() -> None:
-            while True:
-                row = queue.get()
-                if row is None:
-                    return
-                telemetry.emit(row)
-
-        drainer = threading.Thread(target=_drain, name="telemetry-drain", daemon=True)
-        drainer.start()
-        try:
-            return run_trials(
-                _scenario_trial,
-                [trial + (queue,) for trial in trials],
-                jobs=config.jobs,
-                policy=config.supervision,
-                chaos=config.chaos,
-            )
-        finally:
-            queue.put(None)
-            drainer.join()
-            manager.shutdown()
-    return run_trials(
-        _scenario_trial,
-        trials,
-        jobs=config.jobs,
-        policy=config.supervision,
-        chaos=config.chaos,
-    )

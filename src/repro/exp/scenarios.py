@@ -101,7 +101,7 @@ class ScenarioSpec:
     repeat_phases: bool = True
     #: Execution engine (a :mod:`repro.engines` registry name).  Every
     #: engine yields byte-identical telemetry, so this is a perf knob; it
-    #: serializes with the spec so remote workers honour it.
+    #: serializes with the spec, so the pool workers that rebuild it honour it.
     engine: str = "cycle"
 
     def __post_init__(self) -> None:

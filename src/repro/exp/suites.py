@@ -5,18 +5,20 @@ auxiliary workload set like ``hotpath``) and lists its work as
 :class:`SuiteUnit` entries — load/latency sweeps, registered scenarios,
 controller trainings and controller evaluations — all plain JSON data.  One
 engine, :func:`run_suite`, expands every unit into picklable subtrials, fans
-the whole suite through :func:`repro.exp.runner.run_trials` (one process
-pool across *all* units, not one pool per sweep) and reassembles per-unit
-rows plus perf records in the shared ``benchmarks/results`` schema
-(``scenario``, ``cycles``, ``wall_s``, ``cycles_per_s``, see
-:func:`perf_record`) tagged with their ``suite``.  The records are
+the whole suite through one :class:`repro.exp.runner.SupervisedTrialPool`
+(one process pool across *all* units, not one pool per sweep) and
+reassembles per-unit rows plus perf records in the shared
+``benchmarks/results`` schema (``scenario``, ``cycles``, ``wall_s``,
+``cycles_per_s``, see :func:`perf_record`) tagged with their ``suite``.  The records are
 information only: diffing ignores their wall-clock fields, and speed
 claims come from the perf ledger (``benchmarks/ledger/``).
 
 The ``benchmarks/bench_fig*.py`` / ``bench_table*.py`` files are thin
 wrappers: they look up their suite by name, run it, and assert the paper's
 reproduction checks over the returned rows.  The CLI exposes the same
-catalogue as ``repro-noc suite list|describe|run``.
+catalogue as ``repro-noc suite list|describe|run``; its ``sweep`` and
+``scenarios run`` commands build an ad-hoc, unregistered :class:`SuiteSpec`
+and run it through the same engine.
 
 Every registered suite also gets a CI-sized smoke variant
 (:func:`derive_smoke_suite`, registered as ``<name>-smoke``) that shrinks
@@ -40,6 +42,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.analysis.metrics import summarize_trace
+from repro.analysis.sweep import SweepTrial, measure_sweep_point
 from repro.baselines import (
     RandomPolicy,
     StaticPolicy,
@@ -135,8 +138,12 @@ class SuiteUnit:
             raise ValueError(
                 f"unknown unit kind {self.kind!r}; known: {', '.join(UNIT_KINDS)}"
             )
-        if self.kind == "sweep" and not self.params.get("rates"):
-            raise ValueError(f"sweep unit {self.name!r} needs a non-empty 'rates' list")
+        if self.kind == "sweep":
+            rates = self.params.get("rates")
+            if not rates:
+                raise ValueError(f"sweep unit {self.name!r} needs a non-empty 'rates' list")
+            if any(rate < 0 for rate in rates):
+                raise ValueError(f"sweep unit {self.name!r} has a negative rate")
         if self.kind == "scenario":
             if not self.params.get("scenario"):
                 raise ValueError(f"scenario unit {self.name!r} needs a 'scenario' name")
@@ -544,11 +551,6 @@ class SuiteJournal:
 
 
 def _run_sweep_point(params: Mapping) -> dict:
-    # Imported here, not at module top: repro.analysis.sweep itself imports
-    # the exp package (for run_trials), so a top-level import would be
-    # circular whenever analysis loads first.
-    from repro.analysis.sweep import SweepTrial, measure_sweep_point
-
     config = SimulatorConfig(
         width=int(params.get("width", 4)),
         routing=params.get("routing", "xy"),
@@ -684,21 +686,32 @@ def run_suite_subtrial(subtrial: Subtrial) -> dict:
 
 
 def unit_shape(params: Mapping) -> tuple[int, float | None]:
-    """(n_nodes, injection_rate) the unit's params describe.
+    """(n_nodes, injection_rate) the unit's or subtrial's params describe.
 
-    Width defaults to the 4x4 experiment mesh every preset uses; the rate
-    is the unit's fixed injection rate when it has one (an explicit
-    ``rate`` or a synthetic ``traffic`` override) and ``None`` when it
-    varies — sweep units sweep many rates, phased workloads ramp through
-    several.  These ride every perf record and telemetry row, so a
-    4x4 sample is never read as comparable to a 64x64 one.
+    A scenario's mesh comes from its spec — the shipped ``scenario_spec``
+    of a subtrial, else the registered ``scenario`` name; anything else
+    reads ``width``, defaulting to the 4x4 experiment mesh every preset
+    uses.  The rate is the fixed injection rate when there is one (an
+    explicit ``rate``, as on each sweep point, or a synthetic ``traffic``
+    override) and ``None`` when it varies — sweep units sweep many rates,
+    phased workloads ramp through several.  These ride every perf record
+    and telemetry row, so a 4x4 sample is never read as comparable to a
+    64x64 one.
     """
-    width = int(params.get("width") or 4)
+    shipped = params.get("scenario_spec")
+    if shipped is not None:
+        width, height = shipped["width"], shipped.get("height")
+    elif params.get("scenario"):
+        registered = get_scenario(params["scenario"])
+        width, height = registered.width, registered.height
+    else:
+        width, height = params.get("width") or 4, None
+    n_nodes = int(width) * int(height or width)
     rate = params.get("rate")
     traffic = params.get("traffic")
     if rate is None and isinstance(traffic, Mapping):
         rate = traffic.get("rate")
-    return width * width, (float(rate) if rate is not None else None)
+    return n_nodes, (float(rate) if rate is not None else None)
 
 
 def expand_unit(
@@ -716,8 +729,8 @@ def expand_unit(
         rates = params.pop("rates")
         return [Subtrial("sweep", {**params, "rate": rate}) for rate in rates]
     if unit.kind == "scenario":
-        # Ship the full spec so runtime-registered scenarios survive the trip
-        # into spawn-started workers (same rationale as run_scenarios).
+        # Ship the full spec, not just the name: a spawn-started worker
+        # re-imports the registry, which only holds the built-in scenarios.
         spec = get_scenario(params["scenario"])
         repeats = int(params.get("repeats", 1))
         base_seed = int(params.get("seed", 0))
@@ -827,10 +840,10 @@ def run_suite(
     """Run every unit of ``spec``, fanning subtrials over one process pool.
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`
-    — every knob that shapes *execution* in one frozen, serializable value,
-    and the only way to pass one.  What stays a keyword is the environment
-    — ``out_dir``, ``telemetry``, ``resume`` describe where the run
-    happens, not what it computes.
+    — every knob that shapes *execution* in one frozen value, and the only
+    way to pass one.  What stays a keyword is the environment —
+    ``out_dir``, ``telemetry``, ``resume`` describe where the run happens,
+    not what it computes.
 
     ``config.jobs`` parallelises the suite's subtrials (simulated outcomes
     are identical for any value); ``config.train_jobs`` is handed to the
@@ -851,11 +864,12 @@ def run_suite(
 
     ``telemetry`` is an optional live tap (anything with ``emit(row)``,
     typically a :class:`repro.exp.telemetry.TelemetrySink`): one
-    ``source="subtrial"`` row per subtrial as its payload lands, then one
-    ``source="perf"`` row per unit perf record.  Rows are emitted
-    parent-side in unit order — never from pool workers, where an open
-    sink would not pickle — so the stream is deterministic for any
-    ``jobs`` (wall-clock fields aside), same as the payloads themselves.
+    ``source="subtrial"`` row per subtrial, describing that subtrial (its
+    own ``seed``, mesh size and injection rate), then one ``source="perf"``
+    row per unit perf record.  Rows are emitted parent-side in unit order
+    — never from pool workers, where an open sink would not pickle — so
+    the stream is deterministic for any ``jobs`` (wall-clock fields
+    aside), same as the payloads themselves.
     Subtrial rows also carry the supervised pool's ``attempts``/``retries``
     accounting (scheduling metadata — diff-ignored like wall clock).
 
@@ -995,13 +1009,13 @@ def run_suite(
             _EVAL_CACHE[cache_key] = payload
 
     grouped: dict[int, list[dict]] = {}
-    for position, ((index, _), payload) in enumerate(zip(tagged, payloads)):
+    for position, ((index, subtrial), payload) in enumerate(zip(tagged, payloads)):
         grouped.setdefault(index, []).append(payload)
         if telemetry is not None:
             unit = spec.units[index]
             wall_s = payload.get("wall_s", 0.0)
             attempts = attempts_by_position[position]
-            n_nodes, injection_rate = unit_shape(unit.params)
+            n_nodes, injection_rate = unit_shape(subtrial.params)
             telemetry.emit(
                 {
                     "source": "subtrial",
@@ -1009,7 +1023,8 @@ def run_suite(
                     "scenario": unit.name,
                     "unit": unit.name,
                     "kind": unit.kind,
-                    "engine": unit.params.get("engine") or engine_name,
+                    "engine": subtrial.params.get("engine") or engine_name,
+                    "seed": subtrial.params.get("seed"),
                     "n_nodes": n_nodes,
                     "injection_rate": injection_rate,
                     "rows": len(payload.get("rows", ())),

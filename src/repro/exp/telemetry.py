@@ -1,10 +1,12 @@
 """Live perf telemetry: the streamed CSV/JSONL tap and its field registry.
 
 :class:`TelemetrySink` streams live telemetry rows — per-epoch rows from
-:func:`repro.exp.scenarios.run_scenario`, per-subtrial and per-unit
-(``source == "perf"``) rows from :func:`repro.exp.suites.run_suite` — as CSV
-or JSONL to a file path or an open handle (the ``viz/stream_csv.py`` idiom
-from the rotorsim exemplar), and :func:`read_telemetry` reads a tap back.
+:func:`repro.exp.scenarios.run_scenario` (in-process callers only),
+per-subtrial and per-unit (``source == "perf"``) rows from
+:func:`repro.exp.suites.run_suite`, which is what every CLI ``--telemetry``
+tap carries — as CSV or JSONL to a file path or an open handle (the
+``viz/stream_csv.py`` idiom from the rotorsim exemplar), and
+:func:`read_telemetry` reads a tap back.
 Wall-clock-derived and scheduling-derived fields are flagged in
 :data:`WALL_CLOCK_FIELDS` / :data:`NONDETERMINISTIC_FIELDS` so downstream
 diffing can stay deterministic.

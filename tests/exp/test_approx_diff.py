@@ -1,19 +1,22 @@
-"""Tolerance-aware artefact diffing, mesh-shape telemetry and the parallel
-telemetry tap — the observability surface the approximate flow engine
-plugs into."""
+"""Tolerance-aware artefact diffing, mesh-shape telemetry and the suite
+engine's telemetry tap across jobs — the observability surface the
+approximate flow engine plugs into."""
 
 import json
 
 from repro.cli import main
 from repro.exp.execution import ExecutionConfig
-from repro.exp.runner import run_scenarios
 from repro.exp.suites import (
     APPROX_DIFF_TOLERANCES,
+    SuiteSpec,
+    SuiteUnit,
     diff_payloads,
+    run_suite,
     unit_shape,
     _within_tolerance,
 )
 from repro.exp.telemetry import (
+    NONDETERMINISTIC_FIELDS,
     TELEMETRY_FIELDS,
     TelemetrySink,
     read_telemetry,
@@ -122,6 +125,9 @@ class TestMeshShapeTelemetry:
             0.02,
         )
         assert unit_shape({"rate": 0.15}) == (16, 0.15)
+        # Scenarios report their own mesh: shipped spec first, else registry.
+        assert unit_shape({"scenario_spec": {"width": 6, "height": 3}}) == (18, None)
+        assert unit_shape({"scenario": "uniform"}) == (16, None)
 
     def test_perf_records_round_trip_mesh_shape(self, tmp_path):
         row = {
@@ -143,45 +149,29 @@ class TestMeshShapeTelemetry:
 
 
 class TestParallelTelemetry:
-    def test_run_scenarios_streams_epoch_rows_across_jobs(self, tmp_path):
-        path = tmp_path / "tap.jsonl"
-        with TelemetrySink(path) as sink:
-            results = run_scenarios(
-                ["powersave-idle", "diurnal-ramp"],
-                config=ExecutionConfig(jobs=2),
-                epochs=2,
-                epoch_cycles=150,
-                telemetry=sink,
-            )
-        assert len(results) == 2
-        rows = read_telemetry(path)
-        # Per-epoch rows from both scenarios made it through the queue;
-        # order across scenarios is explicitly nondeterministic.
-        assert {row["scenario"] for row in rows} == {"powersave-idle", "diurnal-ramp"}
-        assert all(row["source"] == "epoch" for row in rows)
-
-    def test_sequential_results_match_parallel_results(self, tmp_path):
-        kwargs = dict(epochs=2, epoch_cycles=150)
-        with TelemetrySink(tmp_path / "seq.jsonl") as sink:
-            sequential = run_scenarios(
-                ["powersave-idle"], config=ExecutionConfig(jobs=1),
-                telemetry=sink, **kwargs,
-            )
-        with TelemetrySink(tmp_path / "par.jsonl") as sink:
-            parallel = run_scenarios(
-                ["powersave-idle"], config=ExecutionConfig(jobs=2),
-                telemetry=sink, **kwargs,
-            )
-        def _strip_wall_clock(payload):
-            return {
-                key: value
-                for key, value in payload.items()
-                if key not in ("wall_s", "wall_time_s", "cycles_per_s", "cycles_per_second")
-            }
-
-        assert _strip_wall_clock(sequential[0].to_dict()) == _strip_wall_clock(
-            parallel[0].to_dict()
+    def test_scenario_subtrial_rows_match_across_jobs(self, tmp_path):
+        spec = SuiteSpec(
+            name="tap",
+            description="two scenarios, two repeats each",
+            units=tuple(
+                SuiteUnit(
+                    name,
+                    "scenario",
+                    {"scenario": name, "repeats": 2, "epochs": 2, "epoch_cycles": 150},
+                )
+                for name in ("powersave-idle", "diurnal-ramp")
+            ),
         )
-        seq_rows = [_strip_wall_clock(row) for row in read_telemetry(tmp_path / "seq.jsonl")]
-        par_rows = [_strip_wall_clock(row) for row in read_telemetry(tmp_path / "par.jsonl")]
-        assert seq_rows == par_rows  # single scenario: same rows, same order
+        taps = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            with TelemetrySink(path) as sink:
+                run_suite(spec, config=ExecutionConfig(jobs=jobs), telemetry=sink)
+            rows = [
+                {key: value for key, value in row.items() if key not in NONDETERMINISTIC_FIELDS}
+                for row in read_telemetry(path)
+                if row["source"] == "subtrial"
+            ]
+            taps[jobs] = sorted(rows, key=lambda row: (row["unit"], row["seed"]))
+        assert len(taps[1]) == 4
+        assert taps[1] == taps[2]

@@ -1,16 +1,15 @@
-"""The unified ExecutionConfig API: validation, serialization, call shape.
+"""The unified ExecutionConfig API: validation, pickling, call shape.
 
 The config is the one execution surface (``run_suite(spec,
 config=...)``), so the tests pin value semantics (frozen, hashable,
-validated), bit-for-bit serialization (JSON, and pickle for process
-pools) and the one call shape: the pre-config execution keywords, and
-the TCP fleet's, are gone.
+validated), the pickle round trip the process pool relies on and the one
+call shape: the pre-config execution keywords, the TCP fleet's and the
+second fan-out path (``run_scenarios``/``run_trials``) are gone.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 import pickle
 
 import pytest
@@ -41,10 +40,6 @@ class TestSupervisionPolicy:
         assert policy.backoff_for(2) == pytest.approx(0.2)
         assert policy.backoff_for(3) == pytest.approx(0.4)
 
-    def test_dict_round_trip(self):
-        policy = SupervisionPolicy(timeout_s=1.5, max_retries=0, backoff_s=0.0)
-        assert SupervisionPolicy.from_dict(policy.to_dict()) == policy
-
 
 class TestExecutionConfig:
     def test_defaults_resolve_to_the_reference_path(self):
@@ -69,51 +64,6 @@ class TestExecutionConfig:
             config.jobs = 3
         assert config == ExecutionConfig(jobs=2)
         assert hash(config) == hash(ExecutionConfig(jobs=2))
-
-    def test_json_round_trip_is_identity(self):
-        config = ExecutionConfig(
-            jobs=3,
-            train_jobs=2,
-            engine="event",
-            reuse_evals=True,
-            supervision=SupervisionPolicy(timeout_s=9.0, max_retries=1),
-            chaos=ChaosPolicy(rules=(ChaosRule("kill", "turbo"),), seed=7),
-        )
-        restored = ExecutionConfig.from_json(config.to_json())
-        assert restored == config
-        # Re-serializing must give the same JSON, not just an equal value.
-        assert restored.to_json() == config.to_json()
-
-    def test_json_is_sorted_and_plain(self):
-        payload = json.loads(ExecutionConfig().to_json())
-        assert list(payload) == sorted(payload)
-        assert payload["chaos"] is None
-
-    def test_from_dict_names_unknown_fields(self):
-        # A payload built against an older config (one with the batch knob or
-        # the perf-sample count, say) gets an error naming the stale fields.
-        # The removed knob's name is assembled so no literal use of it is
-        # left in the tree.
-        perf_samples = "_".join(("perf", "repeats"))
-        payload = {
-            **ExecutionConfig().to_dict(),
-            "batch": 4,
-            perf_samples: 3,
-            "zeta": 1,
-        }
-        with pytest.raises(
-            ValueError, match=f"unknown ExecutionConfig field.*batch, {perf_samples}, zeta"
-        ):
-            ExecutionConfig.from_dict(payload)
-        with pytest.raises(ValueError, match="batch"):
-            ExecutionConfig.from_json(json.dumps({"batch": 4}))
-
-    def test_payloads_missing_fields_load_with_defaults(self):
-        # Older payloads that predate a field still load.
-        payload = ExecutionConfig(jobs=3).to_dict()
-        del payload["chaos"]
-        del payload["reuse_evals"]
-        assert ExecutionConfig.from_dict(payload) == ExecutionConfig(jobs=3)
 
     def test_pickle_round_trip(self):
         config = ExecutionConfig(
@@ -156,9 +106,6 @@ REMOVED_KEYWORDS = [
     ("run_suite", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
     ("run_suite", "workers", "tcp://x:1"),
     ("run_suite", "_dispatch", object()),
-    ("run_scenarios", "jobs", 2),
-    ("run_scenarios", "engine", "event"),
-    ("run_scenarios", "policy", SupervisionPolicy()),
     ("train_dqn_sharded", "jobs", 2),
     ("train_dqn_sharded", "supervision", SupervisionPolicy()),
     ("train_dqn_sharded", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
@@ -173,14 +120,12 @@ class TestOneCallShape:
     )
     def test_removed_keyword_is_a_type_error(self, entry, keyword, value):
         from repro.core import ExperimentConfig
-        from repro.exp.runner import run_scenarios
         from repro.exp.suites import run_suite
         from repro.exp.training import default_experiment_dqn_config, train_dqn_sharded
 
         experiment = ExperimentConfig.small()
         calls = {
             "run_suite": lambda **kwargs: run_suite("fig1-smoke", **kwargs),
-            "run_scenarios": lambda **kwargs: run_scenarios(["uniform"], **kwargs),
             # With a dqn_config the trainer has no use for leftover keywords,
             # so only its own check can turn them into a TypeError.
             "train_dqn_sharded": lambda **kwargs: train_dqn_sharded(
@@ -214,6 +159,8 @@ class TestOneCallShape:
             "SuiteBroker",
             "parse_workers_url",
             "submit_suite",
+            "run_scenarios",
+            "run_trials",
         ],
     )
     def test_removed_names_are_not_exported(self, name):

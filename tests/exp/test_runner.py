@@ -1,42 +1,26 @@
-"""Tests for the process-pool runner: ordering, determinism, picklability."""
+"""Tests for the supervised process pool: ordering, determinism, picklability."""
 
 import pickle
 
 import pytest
 
-from repro.analysis.sweep import SweepTrial, load_latency_sweep, measure_sweep_point
+from repro.analysis.sweep import SweepTrial, measure_sweep_point
 from repro.exp.chaos import ChaosPolicy, ChaosRule
 from repro.exp.execution import ExecutionConfig, SupervisionPolicy
 from repro.exp.runner import (
     SupervisedTrialPool,
     TrialExecutionError,
     TrialFailure,
-    run_scenarios,
-    run_trials,
     trial_seed,
 )
+from repro.exp.scenarios import run_scenario
+from repro.exp.suites import SuiteSpec, SuiteUnit, run_suite
 from repro.noc import SimulatorConfig
 
 CONFIG = SimulatorConfig(width=4)
-SWEEP_KWARGS = dict(warmup_cycles=150, measure_cycles=300, seed=1)
 
 
-class TestRunTrials:
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            run_trials(measure_sweep_point, [], jobs=0)
-
-    def test_empty_trial_list(self):
-        assert run_trials(measure_sweep_point, [], jobs=4) == []
-
-    def test_serial_path_preserves_order(self):
-        trials = [
-            SweepTrial(CONFIG, "uniform", rate, 50, 100, seed=1, dvfs_level=0)
-            for rate in (0.05, 0.10, 0.15)
-        ]
-        points = run_trials(measure_sweep_point, trials, jobs=1)
-        assert [point.injection_rate for point in points] == [0.05, 0.10, 0.15]
-
+class TestTrialSeed:
     def test_trial_seed_is_stable_and_spread(self):
         assert trial_seed(3, 5) == trial_seed(3, 5)
         seeds = {trial_seed(0, index) for index in range(100)}
@@ -44,49 +28,20 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             trial_seed(0, -1)
 
-    def test_telemetry_streams_across_parallel_jobs(self):
-        # Worker rows cross process boundaries through the manager-queue
-        # tap; the parent's drainer feeds this in-process sink.  (The
-        # sequential/parallel row-equivalence contract lives in
-        # tests/exp/test_approx_diff.py.)
-        rows = []
-
-        class Sink:
-            def emit(self, row):
-                rows.append(row)
-
-        [result] = run_scenarios(
-            ["uniform"],
-            config=ExecutionConfig(jobs=2),
-            epochs=1,
-            epoch_cycles=100,
-            telemetry=Sink(),
-        )
-        assert result.scenario == "uniform"
-        assert rows and all(row["scenario"] == "uniform" for row in rows)
-
-    def test_telemetry_streams_in_process(self):
-        rows = []
-
-        class Sink:
-            def emit(self, row):
-                rows.append(row)
-
-        [result] = run_scenarios(
-            ["uniform"],
-            config=ExecutionConfig(jobs=1),
-            epochs=1,
-            epoch_cycles=100,
-            telemetry=Sink(),
-        )
-        assert result.scenario == "uniform"
-        assert rows and all(row["scenario"] == "uniform" for row in rows)
-
 
 class TestPoolLifecycle:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             SupervisedTrialPool(0)
+
+    def test_serial_path_preserves_order(self):
+        trials = [
+            SweepTrial(CONFIG, "uniform", rate, 50, 100, seed=1, dvfs_level=0)
+            for rate in (0.05, 0.10, 0.15)
+        ]
+        with SupervisedTrialPool(1) as pool:
+            points = pool.run(measure_sweep_point, trials)
+        assert [point.injection_rate for point in points] == [0.05, 0.10, 0.15]
 
     def test_serial_pool_runs_in_process(self):
         with SupervisedTrialPool(1) as pool:
@@ -127,43 +82,57 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(point)) == point
 
     def test_scenario_results_round_trip(self):
-        [result] = run_scenarios(["uniform"], epochs=1, epoch_cycles=100)
+        result = run_scenario("uniform", epochs=1, epoch_cycles=100)
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+def _adhoc_suite(*units: SuiteUnit) -> SuiteSpec:
+    return SuiteSpec(name="adhoc", description="ad-hoc test suite", units=units)
+
+
+def _scenario_unit(name: str, **params) -> SuiteUnit:
+    return SuiteUnit(name, "scenario", {"scenario": name, **params})
+
+
+SWEEP_SPEC = _adhoc_suite(
+    SuiteUnit(
+        "sweep",
+        "sweep",
+        {"rates": [0.05, 0.15, 0.30, 0.50], "warmup_cycles": 150, "measure_cycles": 300,
+         "seed": 1},
+    )
+)
 
 
 @pytest.mark.slow
 class TestParallelEquivalence:
-    """jobs=1 and jobs=4 must produce identical result sequences."""
+    """jobs=1 and jobs=4 must produce identical suite payloads."""
 
-    def test_load_latency_sweep_parallel_matches_serial(self):
-        rates = [0.05, 0.15, 0.30, 0.50]
-        serial = load_latency_sweep(CONFIG, rates, pattern="uniform", **SWEEP_KWARGS)
-        parallel = load_latency_sweep(
-            CONFIG, rates, pattern="uniform", jobs=4, **SWEEP_KWARGS
-        )
-        assert serial == parallel
-        assert [point.injection_rate for point in parallel] == rates
+    def test_sweep_suite_parallel_matches_serial(self):
+        serial = run_suite(SWEEP_SPEC, config=ExecutionConfig(jobs=1))
+        parallel = run_suite(SWEEP_SPEC, config=ExecutionConfig(jobs=4))
+        assert serial.deterministic_payload() == parallel.deterministic_payload()
+        assert [row["rate"] for row in parallel.rows("sweep")] == [0.05, 0.15, 0.30, 0.50]
 
-    def test_scenario_fan_out_matches_serial(self):
+    def test_scenario_suite_parallel_matches_serial(self):
         names = ["uniform", "hotspot", "transpose"]
-        serial = run_scenarios(names, config=ExecutionConfig(jobs=1), epochs=1, epoch_cycles=150)
-        parallel = run_scenarios(names, config=ExecutionConfig(jobs=4), epochs=1, epoch_cycles=150)
-        assert [result.to_json() for result in serial] == [
-            result.to_json() for result in parallel
-        ]
-        assert [result.scenario for result in parallel] == names
+        spec = _adhoc_suite(
+            *(_scenario_unit(name, epochs=1, epoch_cycles=150) for name in names)
+        )
+        serial = run_suite(spec, config=ExecutionConfig(jobs=1))
+        parallel = run_suite(spec, config=ExecutionConfig(jobs=4))
+        assert serial.deterministic_payload() == parallel.deterministic_payload()
+        assert [row["scenario"] for unit in parallel.units for row in unit["rows"]] == names
 
     def test_repeats_use_derived_seeds(self):
-        results = run_scenarios(
-            ["uniform"],
-            config=ExecutionConfig(jobs=2),
-            repeats=2,
-            seed=5,
-            epochs=1,
-            epoch_cycles=150,
+        spec = _adhoc_suite(
+            _scenario_unit("uniform", seed=5, repeats=2, epochs=1, epoch_cycles=150)
         )
-        assert [result.seed for result in results] == [trial_seed(5, 0), trial_seed(5, 1)]
-        assert results[0].epochs != results[1].epochs
+        first, second = run_suite(spec, config=ExecutionConfig(jobs=2)).rows("uniform")
+        assert [first["seed"], second["seed"]] == [trial_seed(5, 0), trial_seed(5, 1)]
+        # Different seeds, different simulations — not one run relabelled.
+        del first["seed"], second["seed"]
+        assert first != second
 
 
 # Module-level so they pickle into pool workers.

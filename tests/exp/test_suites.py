@@ -69,6 +69,8 @@ class TestSpecValidation:
     def test_sweep_unit_needs_rates(self):
         with pytest.raises(ValueError, match="rates"):
             SuiteUnit("x", "sweep", {})
+        with pytest.raises(ValueError, match="negative rate"):
+            SuiteUnit("x", "sweep", {"rates": [0.1, -0.1]})
 
     def test_eval_unit_needs_policy(self):
         with pytest.raises(ValueError, match="policy"):

@@ -129,11 +129,16 @@ class TestScenariosCommand:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "uniform" in output and "hotspot" in output
+        assert f"suite artefact written to {json_path}" in output
         import json
 
         payload = json.loads(json_path.read_text())
-        assert [entry["scenario"] for entry in payload] == ["uniform", "hotspot"]
-        assert payload[0]["epochs"][0]["cycles"] == 120
+        # The suite artefact shape, so `suite diff` compares two of them.
+        assert payload["suite"] == "scenarios"
+        assert [unit["unit"] for unit in payload["units"]] == ["uniform", "hotspot"]
+        assert [run["scenario"] for run in payload["runs"]] == ["uniform", "hotspot"]
+        [row] = payload["units"][0]["rows"]
+        assert (row["scenario"], row["seed"], row["cycles"]) == ("uniform", 0, 120)
 
     def test_run_rejects_unknown_scenario(self, capsys):
         exit_code = cli.main(["scenarios", "run", "no-such-scenario"])
@@ -155,6 +160,8 @@ class TestScenariosCommand:
     def test_run_on_the_event_engine_matches_the_cycle_engine(self, capsys, tmp_path):
         import json
 
+        from repro.exp.suites import DIFF_IGNORED_KEYS, diff_payloads
+
         payloads = []
         for engine in ("cycle", "event"):
             json_path = tmp_path / f"{engine}.json"
@@ -167,7 +174,11 @@ class TestScenariosCommand:
             )
             assert exit_code == 0
             payloads.append(json.loads(json_path.read_text()))
-        assert payloads[0] == payloads[1]
+        assert diff_payloads(*payloads, ignore=DIFF_IGNORED_KEYS | {"engine"}) == []
+        assert [run["engine"] for payload in payloads for run in payload["runs"]] == [
+            "cycle",
+            "event",
+        ]
 
 
 class TestSuiteCommand:
@@ -398,7 +409,7 @@ class TestTrainCommand:
 
 
 class TestTelemetryFlag:
-    def test_scenarios_run_streams_epoch_and_perf_rows(self, capsys, tmp_path):
+    def test_scenarios_run_streams_subtrial_and_perf_rows(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
 
         tap = tmp_path / "tap.csv"
@@ -410,10 +421,51 @@ class TestTelemetryFlag:
             ]
         )
         assert code == 0
-        assert "telemetry: 3 row(s)" in capsys.readouterr().out
+        assert "telemetry: 2 row(s)" in capsys.readouterr().out
         rows = read_telemetry(tap)
-        assert [row["source"] for row in rows] == ["epoch", "epoch", "perf"]
+        assert [row["source"] for row in rows] == ["subtrial", "perf"]
         assert all(row["scenario"] == "uniform" for row in rows)
+        assert [row["cycles"] for row in rows] == [240, 240]
+
+    def test_scenarios_run_subtrial_rows_carry_repeat_seeds(self, tmp_path):
+        from repro.exp.runner import trial_seed
+        from repro.exp.telemetry import read_telemetry
+
+        tap = tmp_path / "tap.jsonl"
+        code = cli.main(
+            [
+                "scenarios", "run", "uniform", "--repeats", "2", "--seed", "5",
+                "--epochs", "1", "--epoch-cycles", "100", "--telemetry", str(tap),
+            ]
+        )
+        assert code == 0
+        seeds = [row["seed"] for row in read_telemetry(tap) if row["source"] == "subtrial"]
+        assert seeds == [trial_seed(5, 0), trial_seed(5, 1)]
+
+    def test_scenario_rows_report_the_scenario_mesh(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.exp import scenarios
+        from repro.exp.telemetry import read_telemetry
+
+        saved = dict(scenarios._REGISTRY)
+        wide = replace(scenarios.get_scenario("uniform"), name="uniform-6x6", width=6)
+        tap = tmp_path / "tap.jsonl"
+        try:
+            scenarios.register_scenario(wide, replace_existing=True)
+            code = cli.main(
+                [
+                    "scenarios", "run", "uniform-6x6",
+                    "--epochs", "1", "--epoch-cycles", "100", "--telemetry", str(tap),
+                ]
+            )
+        finally:
+            scenarios._REGISTRY.clear()
+            scenarios._REGISTRY.update(saved)
+        assert code == 0
+        rows = read_telemetry(tap)
+        assert [row["source"] for row in rows] == ["subtrial", "perf"]
+        assert [row["n_nodes"] for row in rows] == [36, 36]
 
     def test_suite_run_streams_subtrial_and_perf_rows(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
@@ -425,7 +477,7 @@ class TestTelemetryFlag:
         assert {row["source"] for row in rows} == {"subtrial", "perf"}
         assert all(row["suite"] == "fig1-smoke" for row in rows)
 
-    def test_sweep_streams_perf_rows(self, capsys, tmp_path):
+    def test_sweep_streams_one_subtrial_row_per_rate(self, capsys, tmp_path):
         from repro.exp.telemetry import read_telemetry
 
         tap = tmp_path / "sweep.jsonl"
@@ -437,9 +489,52 @@ class TestTelemetryFlag:
         )
         assert code == 0
         rows = read_telemetry(tap)
-        assert len(rows) == 2
-        assert all(row["source"] == "perf" for row in rows)
-        assert {row["rate"] for row in rows} == {0.05, 0.2}
+        assert [row["source"] for row in rows] == ["subtrial", "subtrial", "perf"]
+        subtrials = rows[:2]
+        assert {row["injection_rate"] for row in subtrials} == {0.05, 0.2}
+        assert all(row["n_nodes"] == 16 for row in subtrials)
+        assert rows[2]["injection_rate"] is None  # the unit sweeps many rates
+
+
+class TestSweepAndScenariosExecution:
+    """``sweep`` and ``scenarios run`` are ad-hoc suites through run_suite."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--train-jobs", "2"],
+            ["scenarios", "run", "uniform", "--train-jobs", "2"],
+            ["sweep", "--rates", "-0.1"],
+        ],
+    )
+    def test_rejected_flags_exit_two(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+
+    def test_sweep_honours_the_supervision_flags(self, capsys, monkeypatch):
+        from repro.exp.execution import ExecutionConfig, SupervisionPolicy
+
+        seen = {}
+        real_run_suite = cli.run_suite
+
+        def recording_run_suite(spec, *, config, **kwargs):
+            seen["config"] = config
+            return real_run_suite(spec, config=ExecutionConfig(), **kwargs)
+
+        monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+        argv = ["sweep", "--rates", "0.05", "--cycles", "100"]
+        assert cli.main([*argv, "--jobs", "2", "--timeout", "7", "--retries", "1"]) == 0
+        assert seen["config"] == ExecutionConfig(
+            jobs=2, supervision=SupervisionPolicy(timeout_s=7, max_retries=1)
+        )
+
+    def test_duplicate_scenario_names_run_once(self, capsys):
+        code = cli.main(
+            ["scenarios", "run", "uniform", "uniform", "--epochs", "1", "--epoch-cycles", "100"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("uniform ") == 1
 
 
 class TestRemovedSurfaces:
