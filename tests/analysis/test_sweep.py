@@ -5,8 +5,14 @@ the canonical NoC shapes (monotone latency growth with load, saturation at
 high load, throughput tracking offered load below saturation).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.sweep import (
     LoadLatencyPoint,
     load_latency_sweep,
@@ -30,6 +36,12 @@ class TestLoadLatencySweep:
             load_latency_sweep(CONFIG, [])
         with pytest.raises(ValueError):
             load_latency_sweep(CONFIG, [-0.1])
+
+    def test_takes_no_jobs_keyword(self):
+        # A serial helper: parallel sweeps go through run_suite's sweep units.
+        # A stray ``jobs`` falls through to the traffic pattern, which rejects it.
+        with pytest.raises(TypeError, match="jobs"):
+            load_latency_sweep(CONFIG, [0.05], jobs=2, **SWEEP_KWARGS)
 
     def test_one_point_per_rate(self, uniform_sweep):
         assert [point.injection_rate for point in uniform_sweep] == [0.05, 0.20, 0.60]
@@ -77,6 +89,10 @@ class TestRoutingThroughputSweep:
         with pytest.raises(ValueError):
             routing_throughput_sweep(CONFIG, [-0.1], ["xy"])
 
+    def test_takes_no_jobs_keyword(self):
+        with pytest.raises(TypeError, match="jobs"):
+            routing_throughput_sweep(CONFIG, [0.05], ["xy"], jobs=2, **SWEEP_KWARGS)
+
     def test_sweeps_each_algorithm(self):
         results = routing_throughput_sweep(
             CONFIG, [0.05, 0.3], ["xy", "odd_even"], pattern="transpose", **SWEEP_KWARGS
@@ -102,3 +118,21 @@ class TestRoutingThroughputSweep:
         oe_latency = results["odd_even"][0].average_latency
         # Low-load latency should be comparable (within a few cycles).
         assert abs(xy_latency - oe_latency) < 5.0
+
+
+def test_analysis_does_not_import_the_experiment_layer():
+    # repro.exp builds on repro.analysis, never the other way round; a fresh
+    # interpreter shows what importing the analysis package really pulls in.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, repro.analysis, repro.analysis.sweep; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.exp')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -10,11 +10,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.sweep import load_latency_sweep
 from repro.exp import suites
 from repro.exp.chaos import ChaosPolicy, ChaosRule
 from repro.exp.execution import ExecutionConfig, SupervisionPolicy
-from repro.exp.runner import TrialExecutionError
-from repro.exp.scenarios import scenario_names
+from repro.exp.runner import TrialExecutionError, trial_seed
+from repro.exp.scenarios import run_scenario, scenario_names
 from repro.exp.suites import (
     RESULTS_SCHEMA,
     JournalMismatchError,
@@ -32,6 +33,7 @@ from repro.exp.suites import (
     suite_for_artifact,
 )
 from repro.exp.wire import encode_frame, recv_frame
+from repro.noc.network import SimulatorConfig
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 PAPER_ARTIFACTS = (
@@ -242,6 +244,58 @@ class TestRunSuite:
         assert [unit["unit"] for unit in payload["units"]] == ["turbo", "powersave"]
         assert all(record["suite"] == "fig1-smoke" for record in payload["runs"])
         assert all(record["cycles_per_s"] > 0 for record in payload["runs"])
+
+    def test_sweep_unit_rows_match_load_latency_sweep(self):
+        # `repro sweep` prints these rows, so they must be the serial helper's
+        # points for the same parameters and defaults (warmup 500, seed 0).
+        spec = SuiteSpec(
+            name="adhoc",
+            description="",
+            units=(
+                SuiteUnit(
+                    "sweep",
+                    "sweep",
+                    {"rates": [0.05, 0.2], "routing": "odd_even", "measure_cycles": 200,
+                     "dvfs_level": 1},
+                ),
+            ),
+        )
+        rows = run_suite(spec, config=ExecutionConfig(jobs=1)).rows("sweep")
+        points = load_latency_sweep(
+            SimulatorConfig(width=4, routing="odd_even"),
+            [0.05, 0.2],
+            measure_cycles=200,
+            dvfs_level=1,
+        )
+        assert [row["rate"] for row in rows] == [0.05, 0.2]
+        for row, point in zip(rows, points):
+            assert row["average_latency"] == point.average_latency
+            assert row["throughput"] == point.throughput
+            assert row["energy_per_flit_pj"] == point.energy_per_flit_pj
+            assert row["delivered_packets"] == point.delivered_packets
+
+    def test_scenario_unit_rows_match_run_scenario(self):
+        # `repro scenarios run` prints these rows: one run_scenario summary per
+        # repeat, each at the repeat's derived seed.
+        spec = SuiteSpec(
+            name="adhoc",
+            description="",
+            units=(
+                SuiteUnit(
+                    "bursty",
+                    "scenario",
+                    {"scenario": "bursty", "seed": 4, "repeats": 2, "epochs": 1,
+                     "epoch_cycles": 120},
+                ),
+            ),
+        )
+        rows = run_suite(spec, config=ExecutionConfig(jobs=1)).rows("bursty")
+        expected = [
+            run_scenario("bursty", seed=trial_seed(4, repeat), epochs=1, epoch_cycles=120)
+            .summary()
+            for repeat in range(2)
+        ]
+        assert rows == expected
 
     def test_scenario_suite_reports_scenario_summaries(self):
         outcome = run_suite("hotpath-smoke", config=ExecutionConfig(jobs=1))
