@@ -13,11 +13,20 @@ DVFS operating points — and the clock advances in single leaps between
 * ``fail_link`` / ``repair_link`` (the failed-link set is part of the
   allocation fingerprint);
 * DVFS retunes (observed through the model's operating-point cache
-  sentinel — any retune invalidates it);
+  sentinel, which only a change of some router's point invalidates —
+  re-applying the level already set is not a discontinuity);
 * routing reconfiguration (``set_routing_algorithm``);
 * source quiescence and backlog drain (a saturated source's NI backlog
   drains at its allocated rate; the exhaustion instant is a scheduled
   discontinuity).
+
+Only a discontinuity re-solves, and only a change of the routing, the
+failed-link set or the flow set re-routes: the per-flow paths and the
+flat flow->constraint incidence arrays are cached (:class:`_Routes`), so a
+DVFS retune rebuilds just the capacity vector and re-waterfills from
+scratch over the cached arrays (progressive filling, the max-min fair
+allocation of Bertsekas & Gallager, *Data Networks*, ch. 6).  The solve
+is array-form and bit-identical to the per-flow, per-hop loop it replaced.
 
 Between discontinuities the allocation is constant, so a span of any length
 settles in O(distinct operating points) work: statistics are synthesized
@@ -50,14 +59,12 @@ engines as the fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
-from repro.noc.model import NoCModel
+import numpy as np
 
-try:  # numpy accelerates waterfilling; the pure-python path is exact too.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package deps
-    np = None  # type: ignore[assignment]
+from repro.noc.model import NoCModel
 
 #: Convergence epsilon for waterfilling (absolute, rates are O(1) flits/cycle).
 _EPS = 1e-12
@@ -92,7 +99,7 @@ def waterfill(
     """
     if len(demands) != len(flow_links):
         raise ValueError("demands and flow_links must have equal length")
-    if np is not None and len(demands) >= 64:
+    if len(demands) >= 64:
         return _waterfill_numpy(demands, flow_links, capacities)
     return _waterfill_python(demands, flow_links, capacities)
 
@@ -139,34 +146,46 @@ def _waterfill_numpy(
     flow_links: Sequence[Sequence[int]],
     capacities: Sequence[float],
 ) -> list[float]:
-    demand = np.asarray(demands, dtype=float)
-    remaining = np.asarray(capacities, dtype=float).copy()
+    entry_flow = np.fromiter(
+        (flow for flow, links in enumerate(flow_links) for _ in links), dtype=np.int32
+    )
+    constraint_id = np.fromiter(
+        (link for links in flow_links for link in links), dtype=np.int32
+    )
+    return _waterfill_arrays(
+        np.asarray(demands, dtype=float),
+        entry_flow,
+        constraint_id,
+        np.asarray(capacities, dtype=float),
+    ).tolist()
+
+
+def _waterfill_arrays(
+    demand: np.ndarray,
+    entry_flow: np.ndarray,
+    constraint_id: np.ndarray,
+    capacity: np.ndarray,
+) -> np.ndarray:
+    """The vectorised progressive filling behind :func:`waterfill`.
+
+    The flow->constraint incidence is flat (CSR-style): entry ``e`` says
+    flow ``entry_flow[e]`` crosses constraint ``constraint_id[e]``.
+    """
+    remaining = capacity.copy()
     num_flows = len(demand)
     num_links = len(remaining)
-    # Flat flow->link incidence (CSR-style), built once per allocation.
-    flow_idx = np.fromiter(
-        (flow for flow, links in enumerate(flow_links) for _ in links),
-        dtype=np.int64,
-    )
-    link_idx = np.fromiter(
-        (link for links in flow_links for link in links), dtype=np.int64
-    )
     rates = np.zeros(num_flows)
     active = demand > _EPS
-    if link_idx.size:
-        dead = remaining <= _EPS
-        if dead.any():
-            crosses_dead = (
-                np.bincount(flow_idx, weights=dead[link_idx], minlength=num_flows) > 0
-            )
-            active &= ~crosses_dead
+    active[entry_flow[remaining[constraint_id] <= _EPS]] = False  # dead links
+    # The entries of the still-active flows, compacted as flows freeze (the
+    # per-constraint counts are exact integers either way).
+    keep = active[entry_flow]
+    flow_of, link_of = entry_flow[keep], constraint_id[keep]
     # Each round freezes at least one flow, but the loop bound is defensive.
     for _ in range(num_flows + num_links + 1):
         if not active.any():
             break
-        counts = np.bincount(
-            link_idx, weights=active[flow_idx].astype(float), minlength=num_links
-        )
+        counts = np.bincount(link_of, minlength=num_links)
         used = counts > 0
         delta = float((demand[active] - rates[active]).min())
         if used.any():
@@ -176,16 +195,24 @@ def _waterfill_numpy(
             remaining -= delta * counts
         saturated = used & (remaining <= _DEMAND_EPS)
         frozen = active & (rates >= demand - _DEMAND_EPS)
-        if link_idx.size and saturated.any():
-            on_saturated = (
-                np.bincount(flow_idx, weights=saturated[link_idx], minlength=num_flows)
-                > 0
-            )
-            frozen |= active & on_saturated
+        frozen[flow_of[saturated[link_of]]] = True
         if not frozen.any():
             break
         active &= ~frozen
-    return rates.tolist()
+        keep = active[flow_of]
+        flow_of, link_of = flow_of[keep], link_of[keep]
+    return rates
+
+
+def _sequential_sum(terms: np.ndarray, start: float = 0.0) -> float:
+    """``start + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    The order a Python ``+=`` loop adds in; ``np.sum`` adds pairwise, which
+    can change the last bits.
+    """
+    if not terms.size:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +261,28 @@ class _Allocation:
     idle: bool = False  # no flows, no backlog: spans are plain idle cycles
 
 
+@dataclass
+class _Routes:
+    """The route structure of one flow set: what a DVFS retune leaves alone.
+
+    Valid for one ``(routing, failed links, flow keys)`` combination; a
+    retune changes capacities only, so it re-waterfills over these arrays
+    without re-routing.  ``paths`` runs over the allocation's flows
+    (``None``: no route); every array covers the routed flows only, in
+    allocation order.  A routed flow's constraint entries are its NI
+    injection port, each directed link on its path, then its ejection port.
+    """
+
+    key: tuple
+    paths: list[tuple[int, ...] | None]
+    routed: np.ndarray  # allocation index of each routed flow
+    path_nodes: np.ndarray  # the routed paths, concatenated
+    path_starts: np.ndarray  # CSR offsets into path_nodes (routed + 1)
+    entry_starts: np.ndarray  # CSR offsets into the constraint entries
+    entry_flow: np.ndarray  # routed-flow index of each entry (flow-major)
+    constraint_id: np.ndarray  # constraint index of each entry
+
+
 class FlowEngine:
     """Advance a :class:`NoCModel` by integrating per-flow rate allocations."""
 
@@ -247,6 +296,26 @@ class FlowEngine:
         self._backlog: dict[tuple[int, int], float] = {}
         #: Fractional carries for integer stat commits, keyed by counter.
         self._carry: dict[str, float] = {}
+        #: The route structure of the latest allocation (see :class:`_Routes`).
+        self._routes: _Routes | None = None
+        # Constraint numbering, fixed per topology: NI injection port of node
+        # n at n, its ejection port at N + n, directed links from 2N on in
+        # (src, dst) order.  A constraint's capacity is set by the slower of
+        # its two endpoint routers (the sender forwards and the receiver
+        # releases at most one flit per fired cycle each; a port's two
+        # endpoints are its node).
+        num_nodes = model.topology.num_nodes
+        self._num_nodes = num_nodes
+        codes = np.fromiter(
+            (src * num_nodes + dst for src, dst in model.links),
+            dtype=np.int64,
+            count=len(model.links),
+        )
+        codes.sort()
+        self._link_codes = codes
+        nodes = np.arange(num_nodes, dtype=np.int32)
+        self._sender = np.concatenate((nodes, nodes, codes // num_nodes), dtype=np.int32)
+        self._receiver = np.concatenate((nodes, nodes, codes % num_nodes), dtype=np.int32)
 
     # -- telemetry contract (observability, mirrors the other engines) -----
 
@@ -299,9 +368,10 @@ class FlowEngine:
         if (
             alloc is not None
             and (alloc.horizon is None or model.cycle < alloc.horizon)
-            # The operating-point cache sentinel: any DVFS retune nulls it
-            # (and nothing else touches it while this engine is attached),
-            # so a primed cache means capacities are still current.
+            # The operating-point cache sentinel: a change of any router's
+            # operating point nulls it (re-applying the current point does
+            # not, and nothing else touches it while this engine is
+            # attached), so a primed cache means capacities are current.
             and model._distinct_dividers is not None
             and model._routing_name == alloc.routing_name
             and model._failed_links == alloc.failed_links
@@ -355,140 +425,227 @@ class FlowEngine:
         self._solve(alloc)
         return alloc
 
-    def _solve(self, alloc: _Allocation) -> None:
-        """Route, waterfill and precompute the span-settlement aggregates."""
+    def _link_constraints(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Constraint indices of the directed links ``src[i] -> dst[i]``."""
+        codes = src.astype(np.int64)
+        codes *= self._num_nodes
+        codes += dst
+        indices = np.searchsorted(self._link_codes, codes)
+        indices += 2 * self._num_nodes
+        return indices
+
+    def _routes_for(self, alloc: _Allocation) -> _Routes:
+        """The cached route structure for ``alloc``'s flows, re-routed only
+        when the routing algorithm, the failed-link set or the flow set
+        changed since the last allocation."""
+        key = (
+            alloc.routing_name,
+            alloc.failed_links,
+            tuple(flow.key for flow in alloc.flows),
+        )
+        routes = self._routes
+        if routes is not None and routes.key == key:
+            return routes
+        self._routes = None  # let the stale arrays go before building anew
         model = self.model
-        routers = model.routers
+        paths = [model.flow_route(*flow.key) for flow in alloc.flows]
+        routed = [index for index, path in enumerate(paths) if path is not None]
+        routed_paths = [paths[index] for index in routed]
+        lengths = np.fromiter(map(len, routed_paths), dtype=np.int32, count=len(routed))
+        path_starts = np.zeros(len(routed) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=path_starts[1:])
+        path_nodes = np.fromiter(
+            chain.from_iterable(routed_paths), dtype=np.int32, count=int(path_starts[-1])
+        )
+        entry_starts = path_starts + np.arange(len(routed) + 1, dtype=np.int32)
+        firsts = entry_starts[:-1]
+        lasts = entry_starts[1:] - 1
+        constraint_id = np.empty(int(entry_starts[-1]), dtype=np.int32)
+        # Between its two ports a flow's entries are the links joining its
+        # consecutive nodes (pairs straddling two flows are dropped).
+        is_link = np.ones(len(constraint_id), dtype=bool)
+        is_link[firsts] = False
+        is_link[lasts] = False
+        is_hop = np.ones(max(len(path_nodes) - 1, 0), dtype=bool)
+        is_hop[path_starts[1:-1] - 1] = False
+        constraint_id[is_link] = self._link_constraints(
+            path_nodes[:-1][is_hop], path_nodes[1:][is_hop]
+        )
+        constraint_id[firsts] = path_nodes[path_starts[:-1]]
+        constraint_id[lasts] = self._num_nodes + path_nodes[path_starts[1:] - 1]
+        routes = _Routes(
+            key=key,
+            paths=paths,
+            routed=np.array(routed, dtype=np.int32),
+            path_nodes=path_nodes,
+            path_starts=path_starts,
+            entry_starts=entry_starts,
+            entry_flow=np.repeat(np.arange(len(routed), dtype=np.int32), lengths + 1),
+            constraint_id=constraint_id,
+        )
+        self._routes = routes
+        return routes
+
+    def _solve(self, alloc: _Allocation) -> None:
+        """Waterfill over the cached routes and precompute the span aggregates.
+
+        Array form, bit-identical to a per-flow, per-hop Python loop: every
+        float sum adds its terms in flow order (then path order), as
+        ``np.bincount`` and :func:`_sequential_sum` do, and never pairwise.
+        """
+        model = self.model
         backlog = self._backlog
         alloc.leakage_per_cycle = sum(model._cycle_leakage_increments())
         if not alloc.flows and not any(v > _DEMAND_EPS for v in backlog.values()):
             alloc.idle = True
             return
-
-        # Constraint index: one capacity per NI injection port, directed
-        # link and ejection port actually traversed.  Link capacity is the
-        # slower of the two endpoint routers (the sender forwards and the
-        # receiver releases at most one flit per fired cycle each).
-        constraint_index: dict[tuple, int] = {}
-        capacities: list[float] = []
-
-        def constraint(key: tuple, capacity: float) -> int:
-            index = constraint_index.get(key)
-            if index is None:
-                index = len(capacities)
-                constraint_index[key] = index
-                capacities.append(capacity)
-            return index
-
-        divider_of = {node: r.operating_point.divider for node, r in routers.items()}
-        demands: list[float] = []
-        flow_links: list[list[int]] = []
-        routed: list[_Flow] = []
-        for flow in alloc.flows:
-            flow.path = model.flow_route(*flow.key)
-            if flow.path is None:
-                continue  # undeliverable: rate stays 0, backlog grows
-            links = [constraint(("inj", flow.path[0]), 1.0 / divider_of[flow.path[0]])]
-            for a, b in zip(flow.path, flow.path[1:]):
-                capacity = 1.0 / max(divider_of[a], divider_of[b])
-                if (a, b) in alloc.failed_links:
-                    capacity = 0.0  # defensive: routes already avoid these
-                links.append(constraint(("link", a, b), capacity))
-            links.append(constraint(("ej", flow.path[-1]), 1.0 / divider_of[flow.path[-1]]))
-            # Backlogged flows are eager: they bid for their offered rate
-            # plus everything pending (capped by the links either way).
-            demands.append(flow.demand + backlog.get(flow.key, 0.0))
-            flow_links.append(links)
-            routed.append(flow)
-
-        rates = waterfill(demands, flow_links, capacities)
-        for flow, rate in zip(routed, rates):
-            flow.rate = rate
-
-        # Post-allocation link loads drive the queueing-delay estimate.
-        load = [0.0] * len(capacities)
-        for flow, links in zip(routed, flow_links):
-            for link in links:
-                load[link] += flow.rate
-
+        routes = self._routes_for(alloc)
+        flows = alloc.flows
+        routed = routes.routed
+        constraint_id = routes.constraint_id
         packet_size = alloc.packet_size
-        energy: dict[object, list[float]] = {}
-        earliest_drain: float | None = None
-        for flow in alloc.flows:
-            alloc.created_packets += flow.demand / packet_size
-            pending = backlog.get(flow.key, 0.0)
-            growth = flow.demand - flow.rate
-            alloc.backlog_growth += growth
-            if growth < -_EPS and pending > _DEMAND_EPS:
-                drain_cycles = pending / -growth
-                if earliest_drain is None or drain_cycles < earliest_drain:
-                    earliest_drain = drain_cycles
-            if flow.path is None or flow.rate <= _EPS:
-                continue
-            path = flow.path
-            hops = len(path) - 1
-            # Analytical latency: one switch traversal per node on the path
-            # (ejection included) at that node's divider, tail serialization
-            # behind the slowest divider, and an M/D/1-style queueing wait
-            # per traversed constraint.
-            transit = 0.0
-            max_divider = 1
-            for node in path:
-                divider = divider_of[node]
-                transit += divider
-                if divider > max_divider:
-                    max_divider = divider
-            flow.max_divider = max_divider
-            flow.transit = transit + (packet_size - 1) * max_divider
-            # Flits are buffered for the head transit, not the tail trail;
-            # NI queues hold the later flits of each packet while the NI
-            # serializes one flit per fired cycle.
-            alloc.occupancy += flow.rate * transit
-            alloc.base_queue += (
-                flow.rate * divider_of[path[0]] * (packet_size - 1) / 2.0
+
+        points = [router.operating_point for router in model.routers.values()]
+        divider = np.array([point.divider for point in points], dtype=np.int32)
+        capacity = 1.0 / np.maximum(divider[self._sender], divider[self._receiver])
+        if alloc.failed_links:  # defensive: routes already avoid these
+            src, dst = np.array(sorted(alloc.failed_links)).T
+            capacity[self._link_constraints(src, dst)] = 0.0
+
+        demand = np.array([flow.demand for flow in flows], dtype=float)
+        pending = np.array([backlog.get(flow.key, 0.0) for flow in flows], dtype=float)
+        # Backlogged flows are eager: they bid for their offered rate plus
+        # everything pending (capped by the links either way).
+        bids = demand[routed] + pending[routed]
+        if len(routed) >= 64:
+            routed_rate = _waterfill_arrays(
+                bids, routes.entry_flow, constraint_id, capacity
             )
-            alloc.delivered_packets += flow.rate / packet_size
-            alloc.injected_packets += flow.rate / packet_size
-            alloc.hops += (flow.rate / packet_size) * hops
-            alloc.link_traversals += flow.rate * hops
-            # energy rates per operating point: a buffer write at every node
-            # on the path (NI injection at the source, link receive at the
-            # rest), a read+crossbar at every node (each movement out), and
-            # link energy at every node except the destination (sender pays).
-            for position, node in enumerate(path):
-                point = routers[node].operating_point
-                rates_for_point = energy.get(point)
-                if rates_for_point is None:
-                    rates_for_point = [0.0, 0.0, 0.0]
-                    energy[point] = rates_for_point
-                rates_for_point[0] += flow.rate
-                rates_for_point[1] += flow.rate
-                if position != hops:
-                    rates_for_point[2] += flow.rate
-        # Queueing inflation + NI wait need the per-flow link loads.
-        for flow, links in zip(routed, flow_links):
-            if flow.rate <= _EPS:
-                continue
-            wait = 0.0
-            for link in links:
-                capacity = capacities[link]
-                if capacity <= _EPS:
-                    continue
-                rho = min(load[link] / capacity, _RHO_CAP)
-                wait += (rho / (2.0 * (1.0 - rho))) / capacity
-            flow.transit += wait
-            alloc.occupancy += flow.rate * wait  # waiting flits sit buffered
-            packets = flow.rate / packet_size
-            alloc.network_latency += packets * flow.transit
-            # NI queueing wait is added at settle time — Little's law on the
-            # span-averaged backlog — so it tracks growth within long spans.
-            alloc.total_latency += packets * flow.transit
-        if earliest_drain is not None:
-            drain_at = self.model.cycle + max(1, int(earliest_drain) + 1)
+        else:
+            starts = routes.entry_starts.tolist()
+            flow_links = [
+                constraint_id[start:end].tolist()
+                for start, end in zip(starts, starts[1:])
+            ]
+            routed_rate = np.array(
+                _waterfill_python(bids.tolist(), flow_links, capacity.tolist())
+            )
+        rate = np.zeros(len(flows))
+        rate[routed] = routed_rate
+
+        alloc.created_packets = _sequential_sum(demand / packet_size)
+        growth = demand - rate
+        alloc.backlog_growth = _sequential_sum(growth)
+        draining = (growth < -_EPS) & (pending > _DEMAND_EPS)
+        if draining.any():
+            earliest_drain = float((pending[draining] / -growth[draining]).min())
+            drain_at = model.cycle + max(1, int(earliest_drain) + 1)
             if alloc.horizon is None or drain_at < alloc.horizon:
                 alloc.horizon = drain_at
-        alloc.energy_by_point = [
-            (point, rates_[0], rates_[1], rates_[2]) for point, rates_ in energy.items()
+
+        # Post-allocation constraint loads drive an M/D/1-style queueing
+        # wait per traversed constraint.
+        load = np.bincount(
+            constraint_id,
+            weights=routed_rate[routes.entry_flow],
+            minlength=len(capacity),
+        )
+        usable = capacity > _EPS
+        service = np.where(usable, capacity, 1.0)
+        rho = np.minimum(load / service, _RHO_CAP)
+        queueing = np.where(usable, (rho / (2.0 * (1.0 - rho))) / service, 0.0)
+
+        # Only flows with a route and a nonzero rate carry latency and energy.
+        live = np.flatnonzero(routed_rate > _EPS)
+        live_rate = routed_rate[live]
+        path_starts = routes.path_starts
+        path_divider = divider[routes.path_nodes]
+        # Analytical latency: one switch traversal per node on the path
+        # (ejection included) at that node's divider, tail serialization
+        # behind the slowest divider, and the queueing wait.  Divider sums
+        # are integers, so their order is free.
+        transit = np.add.reduceat(path_divider, path_starts[:-1])[live]
+        max_divider = np.maximum.reduceat(path_divider, path_starts[:-1])[live]
+        source_divider = path_divider[path_starts[live]]
+        hops = np.diff(path_starts)[live] - 1
+        entry_starts = routes.entry_starts[live]
+        entry_counts = routes.entry_starts[live + 1] - entry_starts
+        wait = np.zeros(len(live))
+        for position in range(int(entry_counts.max(initial=0))):
+            going = np.flatnonzero(entry_counts > position)
+            wait[going] += queueing[constraint_id[entry_starts[going] + position]]
+        flow_transit = transit + (packet_size - 1) * max_divider + wait
+
+        packets = live_rate / packet_size
+        # Flits are buffered for the head transit (and while waiting), not
+        # the tail trail; NI queues hold the later flits of each packet
+        # while the NI serializes one flit per fired cycle.
+        alloc.occupancy = _sequential_sum(
+            live_rate * wait, _sequential_sum(live_rate * transit)
+        )
+        alloc.base_queue = _sequential_sum(
+            live_rate * source_divider * (packet_size - 1) / 2.0
+        )
+        alloc.delivered_packets = alloc.injected_packets = _sequential_sum(packets)
+        alloc.hops = _sequential_sum(packets * hops)
+        alloc.link_traversals = _sequential_sum(live_rate * hops)
+        # NI queueing wait is added at settle time — Little's law on the
+        # span-averaged backlog — so it tracks growth within long spans.
+        alloc.network_latency = alloc.total_latency = _sequential_sum(
+            packets * flow_transit
+        )
+        alloc.energy_by_point = self._energy_rates(
+            routes, points, np.where(routed_rate > _EPS, routed_rate, 0.0)
+        )
+
+        for flow, path in zip(flows, routes.paths):
+            flow.path = path
+        for index, flow_rate in zip(routed.tolist(), routed_rate.tolist()):
+            flows[index].rate = flow_rate
+        for index, flow_transit_, flow_max in zip(
+            routed[live].tolist(), flow_transit.tolist(), max_divider.tolist()
+        ):
+            flow = flows[index]
+            flow.transit = flow_transit_
+            flow.max_divider = flow_max
+
+    @staticmethod
+    def _energy_rates(
+        routes: _Routes, points: list, rates: np.ndarray
+    ) -> list[tuple[object, float, float, float]]:
+        """Dynamic-energy flit rates per operating point, in the order the
+        points first appear along the live flows' paths (the order the power
+        model accumulates them in).
+
+        A buffer write and a read+crossbar at every node on a path (NI
+        injection at the source, link receive at the rest; each movement
+        out), link energy at every node except the destination (the sender
+        pays).  ``rates`` runs over the routed flows, 0.0 where one is not live:
+        adding exact zeros leaves each sum's bits alone.
+        """
+        point_ids: dict[object, int] = {}
+        node_point = np.array(
+            [point_ids.setdefault(point, len(point_ids)) for point in points],
+            dtype=np.int32,
+        )
+        point = node_point[routes.path_nodes]
+        flit_rate = np.repeat(rates, np.diff(routes.path_starts))
+        node_rate = np.bincount(point, weights=flit_rate, minlength=len(point_ids))
+        live = flit_rate > 0.0
+        order = sorted(
+            (int(np.argmax(live & (point == index))), index)
+            for index in np.flatnonzero(node_rate > 0.0).tolist()
+        )
+        flit_rate[routes.path_starts[1:] - 1] = 0.0  # destinations send nothing
+        link_rate = np.bincount(point, weights=flit_rate, minlength=len(point_ids))
+        return [
+            (
+                points[int(routes.path_nodes[first])],
+                float(node_rate[index]),
+                float(node_rate[index]),
+                float(link_rate[index]),
+            )
+            for first, index in order
         ]
 
     # -- span settlement ----------------------------------------------------

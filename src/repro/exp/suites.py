@@ -1150,9 +1150,14 @@ APPROX_DIFF_TOLERANCES: dict[str, float] = {
 }
 
 #: Keys ``--approx`` additionally ignores: the two artefacts were produced
-#: by different engines on purpose, and percentile fields are unavailable
-#: from synthesized telemetry (the flow engine keeps no per-packet samples).
-APPROX_DIFF_IGNORED_KEYS = frozenset({"engine", "p95_latency", "p99_latency"})
+#: by different engines on purpose, percentile fields are unavailable
+#: from synthesized telemetry (the flow engine keeps no per-packet samples),
+#: and ``idle_cycles`` counts the cycles an engine served through its idle
+#: fast path — engine observability, which the flow engine (it never steps
+#: a cycle) legitimately reports differently.  Exact diffs still compare it.
+APPROX_DIFF_IGNORED_KEYS = frozenset(
+    {"engine", "p95_latency", "p99_latency", "idle_cycles"}
+)
 
 
 def _within_tolerance(a, b, eps: float) -> bool:

@@ -87,9 +87,10 @@ class InputVirtualChannel:
 class Router:
     """One NoC router attached to node ``node`` of ``topology``."""
 
-    #: Optional observer invoked whenever :meth:`set_operating_point` changes
-    #: the DVFS level; the simulator uses it to invalidate its cached leakage
-    #: increment schedule without re-scanning every router every cycle.
+    #: Optional observer invoked when :meth:`set_operating_point` installs a
+    #: different DVFS level (re-applying the current one is a no-op and stays
+    #: silent); the model uses it to invalidate its cached leakage schedule
+    #: and divider table without re-scanning every router every cycle.
     #: Operating-point changes must go through :meth:`set_operating_point`.
     on_operating_point_change: "Callable[[], None] | None" = None
 
@@ -163,6 +164,8 @@ class Router:
     # -- configuration knobs (the self-configuration surface) ------------------
 
     def set_operating_point(self, point: OperatingPoint) -> None:
+        if point == self.operating_point:
+            return
         self.operating_point = point
         if self.on_operating_point_change is not None:
             self.on_operating_point_change()

@@ -95,6 +95,20 @@ class TestSuiteDiffCli:
         # --approx: latency within the preset eps, engine ignored.
         assert main(["suite", "diff", a, b, "--approx"]) == 0
 
+    def test_cli_approx_ignores_idle_cycles_exact_diff_compares_it(self, tmp_path):
+        # Scenario rows carry the engine's idle fast-path counter, which the
+        # flow engine (it never steps a cycle) reports as 0.
+        a = self._write(
+            tmp_path / "cycle.json",
+            {"units": [{"rows": [{"idle_cycles": 21, "throughput": 0.1, "engine": "cycle"}]}]},
+        )
+        b = self._write(
+            tmp_path / "flow.json",
+            {"units": [{"rows": [{"idle_cycles": 0, "throughput": 0.1, "engine": "flow"}]}]},
+        )
+        assert main(["suite", "diff", a, b, "--approx"]) == 0
+        assert main(["suite", "diff", a, b, "--ignore", "engine"]) == 1
+
     def test_cli_explicit_tolerance_overrides_approx_preset(self, tmp_path):
         a = self._write(tmp_path / "a.json", {"average_latency": 10.0})
         b = self._write(tmp_path / "b.json", {"average_latency": 13.0})

@@ -291,6 +291,20 @@ class TestActivityTracking:
         after = simulator.model._cycle_leakage_increments()
         assert after != before
 
+    def test_reapplying_the_current_dvfs_level_keeps_the_leakage_cache(self):
+        simulator = make_simulator(rate=0.1)
+        simulator.run(50)
+        model = simulator.model
+        increments = model._cycle_leakage_increments()
+        simulator.set_global_dvfs_level(simulator.dvfs_level_index)
+        simulator.set_dvfs_level(5, simulator.dvfs_level_index)
+        simulator.run(50)
+        assert model._leakage_increments is increments
+        simulator.set_global_dvfs_level(2)
+        assert model._leakage_increments is None
+        simulator.run(50)
+        assert model._leakage_increments is not increments
+
     def test_set_enabled_vcs_validates_before_reconfiguring(self):
         simulator = make_simulator(num_vcs=2)
         simulator.set_enabled_vcs(1)
