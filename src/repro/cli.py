@@ -15,16 +15,18 @@ Installed as the ``repro-noc`` console script (or invoked as
   (all fields, wall clocks excluded) and exits nonzero on any mismatch;
   ``suite run`` is fault tolerant (``--timeout``
   / ``--retries`` tune the supervised pool, exit 4 = subtrials failed every
-  attempt) and resumable (``--resume`` skips subtrials journaled under
-  ``--out`` by a previous, possibly killed, run; Ctrl-C exits 130 with the
-  journal flushed);
+  attempt) and, with ``--out``, reads the subtrial store there: every
+  subtrial journaled under ``--out`` by any earlier run — of any suite, on
+  the same code — is reused, not recomputed, so rerunning a killed run's
+  command continues it (Ctrl-C exits 130 with the journal flushed);
 * ``train``     — train the DQN self-configuration controller (``--jobs N``
   shards actor rollouts over a process pool; ``--resume`` continues from a
   checkpoint) and optionally save a checkpoint;
 * ``evaluate``  — deploy a trained checkpoint or a named baseline on a
   held-out workload and print its summary;
 * ``compare``   — evaluate the baselines (and optionally a checkpoint) side
-  by side, Table-I style;
+  by side, Table-I style (baselines and presets are the suites' own,
+  :func:`repro.exp.suites.build_policy`/``build_experiment``);
 * ``engines``   — list the registered simulation engines and their
   capability flags.
 
@@ -54,12 +56,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import format_series, format_table, summarize_trace
-from repro.baselines import (
-    RandomPolicy,
-    ThresholdDvfsPolicy,
-    static_max_performance,
-    static_min_energy,
-)
 from repro.core import ExperimentConfig, checkpoint, evaluate_controller
 from repro.exp import (
     TrialExecutionError,
@@ -81,10 +77,11 @@ from repro.exp.suites import (
     APPROX_DIFF_IGNORED_KEYS,
     APPROX_DIFF_TOLERANCES,
     DIFF_IGNORED_KEYS,
-    JournalMismatchError,
     SuiteOutcome,
     SuiteSpec,
     SuiteUnit,
+    build_experiment,
+    build_policy,
     diff_payloads,
 )
 from repro.exp.telemetry import TelemetrySink
@@ -319,13 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite_run.add_argument(
         "--out",
         dest="out_dir",
-        help="directory for the per-suite JSON artefacts and journals",
-    )
-    suite_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip subtrials already journaled under --out from a previous "
-        "(possibly killed) run of the same suite",
+        help="directory for the per-suite JSON artefacts and journals; "
+        "subtrials already journaled there are reused",
     )
     # Deterministic fault injection for tests and CI only — deliberately
     # undocumented in --help (see repro.exp.chaos.parse_chaos_spec).
@@ -412,28 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_from_preset(preset: str) -> ExperimentConfig:
-    if preset == "small":
-        return ExperimentConfig.small()
-    if preset == "joint":
-        return ExperimentConfig.joint_configuration()
-    return ExperimentConfig.default()
-
-
-def _baseline_policy(name: str, experiment: ExperimentConfig):
-    num_levels = len(experiment.simulator.dvfs_levels)
-    policies = {
-        "static-max": static_max_performance,
-        "static-min": lambda: static_min_energy(num_levels),
-        "heuristic": lambda: ThresholdDvfsPolicy(num_levels),
-        "random": lambda: RandomPolicy(experiment.build_action_space().size),
-    }
-    return policies[name]()
-
-
 def _resolve_policy(controller: str, experiment: ExperimentConfig):
     if controller in BASELINE_NAMES:
-        return _baseline_policy(controller, experiment)
+        return build_policy(controller, experiment)
     restored = checkpoint.load_dqn_checkpoint(controller)
     return restored.to_policy(name=f"drl[{controller}]")
 
@@ -640,12 +613,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         return 2
     if not _check_names("engine", [args.engine or "cycle"], selectable_engine_names()):
         return 2
-    if args.resume and not args.out_dir:
-        print(
-            "--resume requires --out (the journal lives beside the artefact)",
-            file=sys.stderr,
-        )
-        return 2
     chaos = None
     if args.chaos:
         try:
@@ -659,16 +626,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
     try:
         for name in names:
             outcome = run_suite(
-                name,
-                config=config,
-                out_dir=args.out_dir,
-                telemetry=sink,
-                resume=args.resume,
+                name, config=config, out_dir=args.out_dir, telemetry=sink
             )
-            if outcome.resumed_subtrials:
+            if outcome.reused_subtrials:
                 print(
-                    f"suite {name}: resumed {outcome.resumed_subtrials} "
-                    "journaled subtrial(s)"
+                    f"suite {name}: reused {outcome.reused_subtrials} "
+                    "stored subtrial(s)"
                 )
             print(format_table(outcome.records, title=f"Suite {name}"))
     except TrialExecutionError as error:
@@ -680,24 +643,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"  {failure.describe()}", file=sys.stderr)
         if args.out_dir:
             print(
-                "completed subtrials are journaled; rerun with --resume to "
-                "retry only the failed ones",
+                "completed subtrials are journaled; rerun the same command "
+                "to retry only the failed ones",
                 file=sys.stderr,
             )
         return 4
-    except JournalMismatchError as error:
-        print(f"suite {name}: {error}", file=sys.stderr)
-        print(
-            "the journal under --out was written by a different suite "
-            "revision; drop --resume (or point --out elsewhere) to start over",
-            file=sys.stderr,
-        )
-        return 2
     except KeyboardInterrupt:
         if args.out_dir:
             print(
                 f"\nsuite {name}: interrupted; the journal holds every "
-                "completed subtrial — rerun with --resume to continue",
+                "completed subtrial — rerun the same command to continue",
                 file=sys.stderr,
             )
         else:
@@ -712,16 +667,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    experiment = _experiment_from_preset(args.preset)
-    engine = args.engine
-    if engine is not None:
-        if not _check_names("engine", [engine], selectable_engine_names()):
-            return 2
-        experiment = replace(
-            experiment, simulator=replace(experiment.simulator, engine=engine)
-        )
+    if args.engine is not None and not _check_names(
+        "engine", [args.engine], selectable_engine_names()
+    ):
+        return 2
+    experiment = build_experiment({"preset": args.preset, "engine": args.engine})
     # --jobs is a synonym for --train-jobs here: train's processes ARE the
     # actor shards (an explicit --train-jobs wins when both are given).
     train_jobs = args.train_jobs or args.jobs or 1
@@ -797,7 +747,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    experiment = _experiment_from_preset(args.preset)
+    experiment = build_experiment({"preset": args.preset})
     policy = _resolve_policy(args.controller, experiment)
     trace = evaluate_controller(experiment, policy, num_epochs=args.epochs)
     print(format_table([summarize_trace(trace)], title=f"Evaluation — {policy.name}"))
@@ -806,8 +756,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    experiment = _experiment_from_preset(args.preset)
-    policies = [_baseline_policy(name, experiment) for name in BASELINE_NAMES]
+    experiment = build_experiment({"preset": args.preset})
+    policies = [build_policy(name, experiment) for name in BASELINE_NAMES]
     if args.checkpoint:
         policies.insert(0, _resolve_policy(args.checkpoint, experiment))
     rows = []

@@ -54,7 +54,6 @@ from repro.exp.suites import (
     DIFF_IGNORED_KEYS,
     MAIN_TRAINING,
     RESULTS_SCHEMA,
-    JournalMismatchError,
     SuiteJournal,
     SuiteOutcome,
     SuiteSpec,
@@ -93,7 +92,6 @@ __all__ = [
     "DIFF_IGNORED_KEYS",
     "ExecutionConfig",
     "FaultEvent",
-    "JournalMismatchError",
     "MAIN_TRAINING",
     "NONDETERMINISTIC_FIELDS",
     "RESULTS_SCHEMA",

@@ -5,28 +5,24 @@
 one ``config=`` value and nothing else:
 
 * :class:`ExecutionConfig` — a frozen dataclass holding every *execution*
-  knob (worker counts, engine, eval memoization, the supervision policy
-  and an optional chaos script), e.g. ``run_suite(spec, config=...)``.
+  knob (worker counts, engine, the supervision policy and an optional
+  chaos script), e.g. ``run_suite(spec, config=...)``.
 * :class:`SupervisionPolicy` — the fault-tolerance knobs, nested in the
   config, so the config module depends only on plain data.
 
 Environment-bound arguments deliberately stay *out* of the config: an open
-telemetry sink, an output directory or a resume flag describe where a run
-happens, not what it computes.
+telemetry sink or an output directory describe where a run happens, not
+what it computes.
 
 Determinism: most config fields only reorder wall clock (``jobs``,
-``reuse_evals``, supervision, chaos — the PR 7 contract), but
-``train_jobs`` participates in the sharded trainer's RNG contract and
-``engine`` is stamped into every subtrial.
-:meth:`ExecutionConfig.fingerprint` hashes exactly that outcome-affecting
-half — it is what the suite journal header records so ``suite run
---resume`` can refuse a journal written under a different revision.
+supervision, chaos), but ``train_jobs`` participates in the sharded
+trainer's RNG contract and ``engine`` is stamped into every subtrial.  Both therefore reach every stored subtrial's content key (the
+engine as a param, ``train_jobs`` through the deployed weights), so the
+store under ``--out`` never serves a result computed under another value.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.exp.chaos import ChaosPolicy
@@ -82,7 +78,6 @@ class ExecutionConfig:
       the RNG contract: training outcomes depend on it for ``>= 2``.
     * ``engine`` — execution engine for every simulation (``None`` = keep
       each spec's own engine, defaulting to ``cycle``).
-    * ``reuse_evals`` — memoize completed eval subtrials process-wide.
     * ``supervision`` — the :class:`SupervisionPolicy` fault budget.
     * ``chaos`` — optional deterministic fault script (tests/CI only).
 
@@ -93,7 +88,6 @@ class ExecutionConfig:
     jobs: int = 1
     train_jobs: int = 1
     engine: str | None = None
-    reuse_evals: bool = False
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     chaos: ChaosPolicy | None = None
 
@@ -108,19 +102,3 @@ class ExecutionConfig:
     def resolved_engine(self, default: str = DEFAULT_ENGINE) -> str:
         """The engine this config runs on (``None`` resolves to ``default``)."""
         return self.engine or default
-
-    def fingerprint(self) -> str:
-        """Hash of the *outcome-affecting* half of the config.
-
-        Two runs whose fingerprints match produce byte-identical suite
-        payloads (the determinism contract): ``jobs``, ``reuse_evals``,
-        supervision and chaos only reorder wall clock, so they are
-        excluded; ``train_jobs`` (the sharded trainer's RNG contract) and
-        ``engine`` (stamped into every subtrial/perf record) are what the
-        journal header records and ``--resume`` refuses to mix.
-        """
-        blob = json.dumps(
-            {"train_jobs": self.train_jobs, "engine": self.resolved_engine()},
-            sort_keys=True,
-        )
-        return hashlib.sha1(blob.encode()).hexdigest()

@@ -33,8 +33,10 @@ deterministic payloads (wall-clock perf records excluded).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -321,49 +323,31 @@ def _agent_payload(result: TrainingResult) -> dict:
     return {"dqn_config": agent.config, "state": agent.get_state()}
 
 
-#: Parent-side memo for completed eval subtrials, keyed on the eval params
-#: plus a fingerprint of the deployed weights.  fig4/fig5/table1/table2 all
-#: evaluate the same phased policies; with ``reuse_evals`` the session pays
-#: for each distinct evaluation once instead of once per suite.
-_EVAL_CACHE: dict[str, dict] = {}
-
-
-def _agent_fingerprint(agent_payload: Mapping | None) -> str:
+def _weights_digest(agent_payload: Mapping | None) -> str:
     if agent_payload is None:
         return ""
     blob = pickle.dumps((agent_payload["dqn_config"], agent_payload["state"]))
     return hashlib.sha1(blob).hexdigest()
 
 
-def _eval_cache_key(params: Mapping, agent_fingerprint: str) -> str:
-    payload = {key: value for key, value in params.items() if key != "agent"}
-    return json.dumps(payload, sort_keys=True) + "|" + agent_fingerprint
+@functools.cache
+def _source_digest() -> str:
+    """sha1 of every ``*.py`` file of the ``repro`` package (once per process).
 
-
-# ---------------------------------------------------------------------------
-# the suite journal (resumable runs)
-# ---------------------------------------------------------------------------
-
-
-#: Bumped when the journal's on-disk shape changes incompatibly.
-JOURNAL_VERSION = 1
-
-
-class JournalMismatchError(ValueError):
-    """A resume journal was written by a different suite revision.
-
-    Raised by :meth:`SuiteJournal.load` when the journal's header row names
-    a different spec content hash or :meth:`ExecutionConfig.fingerprint`
-    than the resuming run — reusing those rows would silently splice
-    results computed from different inputs into one artefact.  The CLI
-    maps this to exit 2; start fresh (drop ``--resume``) or rerun with the
-    original spec/config.
+    Part of every :attr:`Subtrial.key`, so a code change misses every row
+    stored by the previous code — no hand-bumped store version to forget.
     """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha1()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
-def spec_sha1(spec: "SuiteSpec") -> str:
-    """Content hash of a suite spec (what the journal header records)."""
-    return hashlib.sha1(spec.to_json().encode()).hexdigest()
+# ---------------------------------------------------------------------------
+# the subtrial store (per-suite journals under out_dir)
+# ---------------------------------------------------------------------------
 
 
 #: Subtrial kinds :func:`run_suite_subtrial` can execute.
@@ -378,11 +362,12 @@ class Subtrial:
     and what each journal row is keyed on.
 
     ``key`` is the subtrial's content address: a hash of everything its
-    outcome depends on, with any embedded agent payload replaced by its
-    weight fingerprint (raw network state is neither JSON-able nor
-    key-stable).  Two subtrials with the same key produce bit-identical
-    payloads — the determinism contract — which is what makes a journaled
-    result safe to reuse across process restarts.
+    outcome depends on — its kind and params, with any embedded agent
+    payload replaced by its weight fingerprint (raw network state is
+    neither JSON-able nor key-stable), plus the package source digest.
+    Two subtrials with the same key produce bit-identical payloads — the
+    determinism contract — which is what makes a stored result safe to
+    reuse across suites and process restarts.
     """
 
     kind: str
@@ -412,7 +397,7 @@ class Subtrial:
         }
         blob = json.dumps([self.kind, reduced], sort_keys=True, default=str)
         return hashlib.sha1(
-            (blob + "|" + _agent_fingerprint(weights)).encode()
+            f"{blob}|{_weights_digest(weights)}|{_source_digest()}".encode()
         ).hexdigest()
 
     def to_wire(self) -> list:
@@ -423,14 +408,15 @@ class Subtrial:
 class SuiteJournal:
     """Append-only completion log: one JSONL row per finished subtrial.
 
-    Lives at ``<out_dir>/<suite>.journal.jsonl`` next to the artefact.
-    Every row carries the subtrial's content key (:attr:`Subtrial.key`),
-    its unit/kind, the supervised pool's attempt count, a ``generated_at``
-    stamp and the full payload — and is flushed the moment the subtrial
-    lands, so a killed run (OOM, SIGKILL, Ctrl-C) loses at most the
-    in-flight subtrials.  ``suite run --resume`` loads the journal and
-    skips every keyed subtrial it already holds; a truncated final line
-    (the kill arriving mid-write) is tolerated and simply re-run.
+    Lives at ``<out_dir>/<suite>.journal.jsonl`` next to the artefact; the
+    journals under one ``out_dir`` together are the subtrial store
+    :func:`run_suite` reads.  Every row carries the subtrial's content key
+    (:attr:`Subtrial.key`), its unit/kind, the supervised pool's attempt
+    count (0 for a row reused from the store), a ``generated_at`` stamp
+    and the full payload — and is flushed the moment the subtrial lands,
+    so a killed run (OOM, SIGKILL, Ctrl-C) loses at most the in-flight
+    subtrials.  A truncated final line (the kill arriving mid-write) is
+    skipped on load and simply re-run; the next append starts a fresh line.
 
     Determinism makes this safe: a key identifies the subtrial's entire
     input, so the journaled payload *is* what a rerun would produce —
@@ -442,43 +428,9 @@ class SuiteJournal:
         self.path = Path(path)
         self._file = None
         self._written: set[str] = set()
-        self._has_header = False
 
-    def header_row(self, spec: "SuiteSpec", config: ExecutionConfig) -> dict:
-        """The metadata header identifying the suite revision of this journal."""
-        return {
-            "version": JOURNAL_VERSION,
-            "suite": spec.name,
-            "spec_sha1": spec_sha1(spec),
-            "config_fingerprint": config.fingerprint(),
-        }
-
-    def write_header(self, header: Mapping) -> None:
-        """Stamp the journal with its suite revision (first row, once).
-
-        Eager — creates the file immediately — so even a run killed before
-        its first subtrial lands leaves a journal that a later ``--resume``
-        can validate.
-        """
-        if self._has_header:
-            return
-        self._has_header = True
-        if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("a", encoding="utf-8")
-        self._file.write(json.dumps({"journal": dict(header)}, sort_keys=True) + "\n")
-        self._file.flush()
-
-    def load(self, expected_header: Mapping | None = None) -> dict[str, dict]:
-        """Journaled payloads by subtrial key (tolerates a truncated tail).
-
-        With ``expected_header``, a journal whose header row disagrees on
-        the spec content hash or config fingerprint raises
-        :class:`JournalMismatchError` — its rows were computed from
-        different inputs and must not be spliced into this run.  Journals
-        written before the header existed (PR 7) carry no header row and
-        load without validation, as before.
-        """
+    def load(self) -> dict[str, dict]:
+        """Journaled payloads by subtrial key (tolerates a truncated tail)."""
         completed: dict[str, dict] = {}
         if not self.path.exists():
             return completed
@@ -490,23 +442,6 @@ class SuiteJournal:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 continue  # the killed run died mid-write; rerun that subtrial
-            header = row.get("journal")
-            if header is not None:
-                self._has_header = True
-                if expected_header is not None:
-                    mismatched = sorted(
-                        key
-                        for key in ("suite", "spec_sha1", "config_fingerprint")
-                        if header.get(key) != expected_header.get(key)
-                    )
-                    if mismatched:
-                        raise JournalMismatchError(
-                            f"journal {self.path} was written by a different "
-                            f"suite revision ({', '.join(mismatched)} differ); "
-                            "rerun without --resume or with the original "
-                            "spec/config"
-                        )
-                continue
             key = row.get("key")
             if key and "payload" in row:
                 completed[key] = row["payload"]
@@ -523,6 +458,13 @@ class SuiteJournal:
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self.path.open("a", encoding="utf-8")
+            if self._file.tell():
+                with self.path.open("rb") as handle:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        # A killed writer left a torn row: start a fresh line
+                        # rather than glue this row onto the fragment.
+                        self._file.write("\n")
         self._file.write(
             json.dumps(
                 {
@@ -771,9 +713,9 @@ class SuiteOutcome:
     records: list[dict]
     wall_s: float
     training: TrainingResult | None = None
-    #: Subtrials satisfied from the on-disk journal by ``--resume`` (their
-    #: payloads are bit-identical to a fresh run; only wall clock is stale).
-    resumed_subtrials: int = 0
+    #: Subtrials satisfied from the store under ``out_dir`` (their payloads
+    #: are bit-identical to a fresh run; only wall clock is stale).
+    reused_subtrials: int = 0
 
     def unit(self, name: str) -> dict:
         for payload in self.units:
@@ -835,15 +777,14 @@ def run_suite(
     config: ExecutionConfig | None = None,
     out_dir: str | Path | None = None,
     telemetry=None,
-    resume: bool = False,
 ) -> SuiteOutcome:
     """Run every unit of ``spec``, fanning subtrials over one process pool.
 
     ``config`` is the unified :class:`~repro.exp.execution.ExecutionConfig`
     — every knob that shapes *execution* in one frozen value, and the only
     way to pass one.  What stays a keyword is the environment —
-    ``out_dir``, ``telemetry``, ``resume`` describe where the run happens,
-    not what it computes.
+    ``out_dir`` and ``telemetry`` describe where the run happens, not what
+    it computes.
 
     ``config.jobs`` parallelises the suite's subtrials (simulated outcomes
     are identical for any value); ``config.train_jobs`` is handed to the
@@ -851,16 +792,11 @@ def run_suite(
     reference path).  ``config.engine`` runs the whole suite — subtrials
     and the shared training — on the named execution engine (simulated
     outcomes are engine-agnostic; every perf record is tagged with the
-    engine that ran it).  ``config.reuse_evals`` memoizes
-    completed ``eval`` subtrials process-wide, keyed on their params plus
-    the deployed weights, so a session running several suites over the same
-    phased policies (the benchmark harness) pays for each distinct
-    evaluation once; cached evals reuse their recorded wall time.  With
-    ``out_dir`` the outcome is also written to ``<out_dir>/<suite>.json``
-    in the shared artefact shape.
+    engine that ran it).  With ``out_dir`` the outcome is also written to
+    ``<out_dir>/<suite>.json`` in the shared artefact shape.
 
     Every expanded subtrial — a typed :class:`Subtrial` — is its own pool
-    task, journal row and memo entry.
+    task and journal row.
 
     ``telemetry`` is an optional live tap (anything with ``emit(row)``,
     typically a :class:`repro.exp.telemetry.TelemetrySink`): one
@@ -884,24 +820,24 @@ def run_suite(
     fault script (tests/CI only) — by the determinism contract a
     chaos-ridden run's artefact is identical to a clean run's.
 
-    Resume: with ``out_dir``, every completed subtrial is journaled to
-    ``<out_dir>/<suite>.journal.jsonl`` as it lands (flushed row by row;
-    a fresh run truncates any stale journal first).  ``resume=True``
-    loads that journal and skips every subtrial it already holds, so a
-    killed multi-hour run restarts where it died and — because journaled
+    The store: with ``out_dir``, every ``*.journal.jsonl`` under it is
+    read first, and any subtrial whose :attr:`Subtrial.key` it holds — from
+    any suite — is satisfied without dispatching (and counts 0 s in this
+    run's telemetry and perf records).  Every subtrial of the suite,
+    reused or fresh, is then journaled to ``<out_dir>/<suite>.journal.jsonl``
+    (flushed row by row, as it lands), so each journal is self-contained.  Rerunning a killed run
+    into the same ``out_dir`` continues where it died and — because stored
     payloads are bit-identical to fresh ones — yields the identical
-    combined artefact.  A ``KeyboardInterrupt`` leaves the journal
-    flushed and consistent.
+    combined artefact; suites sharing subtrials (fig4/fig5/table1/table2
+    deploy the same phased policies) compute each once.  The keys cover
+    the spec, the engine, the deployed weights and the package source, so
+    a changed input or code edit recomputes.  A ``KeyboardInterrupt``
+    leaves the journal flushed and consistent.
     """
     config = config or ExecutionConfig()
     if isinstance(spec, str):
         spec = get_suite(spec)
     engine_name = config.resolved_engine()
-    reuse = config.reuse_evals
-    if resume and out_dir is None:
-        raise ValueError(
-            "resume needs an out_dir: the journal lives beside the artefact"
-        )
     if engine_name != "cycle" and spec.training is not None:
         # The engine becomes part of the training spec (and thus the memo
         # key): a suite run on another backend trains on that backend too.
@@ -912,7 +848,6 @@ def run_suite(
     if spec.needs_training():
         training_result = train_controller(spec.training, jobs=config.train_jobs)
         agent_payload = _agent_payload(training_result)
-    fingerprint = _agent_fingerprint(agent_payload) if reuse else ""
 
     parent_payloads: dict[int, tuple[dict, float]] = {}
     tagged: list[tuple[int, Subtrial]] = []  # (unit index, subtrial)
@@ -923,69 +858,51 @@ def run_suite(
         subtrials = expand_unit(unit, agent_payload, engine=engine_name)
         tagged.extend((index, subtrial) for subtrial in subtrials)
 
-    # The journal (resumable runs): a fresh run truncates any stale file; a
-    # resume loads it — refusing one stamped by a different suite revision
-    # — and satisfies journaled subtrials without dispatching.
+    # The store: every journal under out_dir.  This suite's own is read
+    # through the appending journal, so its rows are not written twice.
     journal: SuiteJournal | None = None
-    journaled: dict[str, dict] = {}
+    stored: dict[str, dict] = {}
     if out_dir is not None:
         journal = SuiteJournal(Path(out_dir) / f"{spec.name}.journal.jsonl")
-        header = journal.header_row(spec, config)
-        if resume:
-            journaled = journal.load(expected_header=header)
-        elif journal.path.exists():
-            journal.path.unlink()
-        journal.write_header(header)
+        for path in sorted(Path(out_dir).glob("*.journal.jsonl")):
+            reader = journal if path == journal.path else SuiteJournal(path)
+            stored.update(reader.load())
 
-    # Satisfy what we can from the journal and the eval memo; dispatch the
-    # rest as one supervised batch.  ``attempts`` stays 0 for subtrials that
-    # never hit the pool (journaled/cached).
+    # Satisfy what we can from the store; dispatch the rest as one
+    # supervised batch.  A reused subtrial costs this run nothing: its
+    # ``attempts`` stays 0 and its telemetry row and perf record count 0 s
+    # (the journal keeps the wall it was measured with).
     payloads: list[dict | None] = [None] * len(tagged)
     attempts_by_position = [0] * len(tagged)
-    resumed = 0
-    dispatch: list[tuple[int, str | None, str | None, Subtrial]] = []
+    reused = 0
+    dispatch: list[tuple[int, str | None, Subtrial]] = []
     for position, (index, subtrial) in enumerate(tagged):
-        journal_key = subtrial.key if journal is not None else None
-        if journal_key is not None and journal_key in journaled:
-            payloads[position] = journaled[journal_key]
-            resumed += 1
-            continue
-        cache_key = None
-        if reuse and subtrial.kind == "eval":
-            cache_key = _eval_cache_key(subtrial.params, fingerprint)
-        if cache_key is not None and cache_key in _EVAL_CACHE:
-            payloads[position] = _EVAL_CACHE[cache_key]
-            if journal is not None:
-                unit = spec.units[index]
-                journal.append(
-                    journal_key,
-                    unit=unit.name,
-                    kind=unit.kind,
-                    attempts=0,
-                    payload=_EVAL_CACHE[cache_key],
-                )
+        key = subtrial.key if journal is not None else None
+        if key is not None and key in stored:
+            payloads[position] = {**stored[key], "wall_s": 0.0}
+            reused += 1
+            unit = spec.units[index]
+            journal.append(
+                key, unit=unit.name, kind=unit.kind, attempts=0, payload=stored[key]
+            )
         else:
-            dispatch.append((position, cache_key, journal_key, subtrial))
+            dispatch.append((position, key, subtrial))
 
     def _on_task(task_index: int, payload: dict, attempts: int) -> None:
         # Fires parent-side the moment a subtrial's result lands (completion
         # order): journal it immediately so a kill right after loses nothing.
-        position, _, journal_key, _ = dispatch[task_index]
+        position, key, _ = dispatch[task_index]
         attempts_by_position[position] = attempts
         if journal is not None:
             unit = spec.units[tagged[position][0]]
             journal.append(
-                journal_key,
-                unit=unit.name,
-                kind=unit.kind,
-                attempts=attempts,
-                payload=payload,
+                key, unit=unit.name, kind=unit.kind, attempts=attempts, payload=payload
             )
 
     # Chaos rules address subtrials by dispatch index or by this label.
     labels = [
         f"{spec.units[tagged[position][0]].name}[{position}]"
-        for position, _, _, _ in dispatch
+        for position, _, _ in dispatch
     ]
     pool = SupervisedTrialPool(
         config.jobs, policy=config.supervision, chaos=config.chaos
@@ -993,20 +910,18 @@ def run_suite(
     try:
         results = pool.run(
             run_suite_subtrial,
-            [subtrial for _, _, _, subtrial in dispatch],
+            [subtrial for _, _, subtrial in dispatch],
             labels=labels,
             on_result=_on_task,
         )
     finally:
         # Interrupt/quarantine included: the journal is already flushed row
-        # by row, so whatever completed survives for --resume.
+        # by row, so whatever completed survives for the rerun.
         pool.close()
         if journal is not None:
             journal.close()
-    for (position, cache_key, _, _), payload in zip(dispatch, results):
+    for (position, _, _), payload in zip(dispatch, results):
         payloads[position] = payload
-        if cache_key is not None:
-            _EVAL_CACHE[cache_key] = payload
 
     grouped: dict[int, list[dict]] = {}
     for position, ((index, subtrial), payload) in enumerate(zip(tagged, payloads)):
@@ -1085,7 +1000,7 @@ def run_suite(
         records=records,
         wall_s=time.perf_counter() - start,
         training=training_result,
-        resumed_subtrials=resumed,
+        reused_subtrials=reused,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)

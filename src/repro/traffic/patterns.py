@@ -15,6 +15,11 @@ from abc import ABC, abstractmethod
 
 from repro.noc.topology import Mesh
 
+#: The RNG :meth:`TrafficPattern.destination_weights` hands deterministic
+#: patterns: they draw nothing from it, so one shared instance serves every
+#: call instead of a fresh seeded one per source node.
+_UNUSED_RNG = random.Random(0)
+
 
 class TrafficPattern(ABC):
     """Maps a source node to the destination of its next packet."""
@@ -52,7 +57,7 @@ class TrafficPattern(ABC):
         if not self.uses_rng:
             # Deterministic patterns consume nothing from the RNG they are
             # handed, so a throwaway instance observes the fixed mapping.
-            dst = self.destination(src, random.Random(0))
+            dst = self.destination(src, _UNUSED_RNG)
             return {} if dst == src else {dst: 1.0}
         return None
 

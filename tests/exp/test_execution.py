@@ -48,7 +48,6 @@ class TestExecutionConfig:
         assert config.train_jobs == 1
         assert config.engine is None
         assert config.resolved_engine() == DEFAULT_ENGINE
-        assert config.reuse_evals is False
         assert config.supervision == SupervisionPolicy()
         assert config.chaos is None
 
@@ -71,28 +70,10 @@ class TestExecutionConfig:
         )
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_fingerprint_covers_only_the_outcome_affecting_half(self):
-        base = ExecutionConfig()
-        # Scheduling-only knobs reorder wall clock, never the payload.
-        assert ExecutionConfig(jobs=8).fingerprint() == base.fingerprint()
-        assert ExecutionConfig(reuse_evals=True).fingerprint() == base.fingerprint()
-        assert (
-            ExecutionConfig(
-                supervision=SupervisionPolicy(timeout_s=1.0, max_retries=0)
-            ).fingerprint()
-            == base.fingerprint()
-        )
-        # Outcome-affecting knobs must change the journal-header hash.
-        assert ExecutionConfig(train_jobs=2).fingerprint() != base.fingerprint()
-        assert ExecutionConfig(engine="event").fingerprint() != base.fingerprint()
-
-    def test_fingerprint_resolves_the_default_engine(self):
-        # engine=None and engine="cycle" run the same simulations, so a
-        # resume across the two spellings must be legal.
-        assert (
-            ExecutionConfig(engine=None).fingerprint()
-            == ExecutionConfig(engine=DEFAULT_ENGINE).fingerprint()
-        )
+    def test_removed_reuse_evals_field_is_a_type_error(self):
+        # The subtrial store under out_dir replaced the in-process eval memo.
+        with pytest.raises(TypeError, match="reuse_evals"):
+            ExecutionConfig(reuse_evals=True)
 
 
 #: The pre-config execution keywords, by entry point; each is now an error.
@@ -106,6 +87,7 @@ REMOVED_KEYWORDS = [
     ("run_suite", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),
     ("run_suite", "workers", "tcp://x:1"),
     ("run_suite", "_dispatch", object()),
+    ("run_suite", "resume", True),
     ("train_dqn_sharded", "jobs", 2),
     ("train_dqn_sharded", "supervision", SupervisionPolicy()),
     ("train_dqn_sharded", "chaos", ChaosPolicy(rules=(ChaosRule("raise", 0),))),

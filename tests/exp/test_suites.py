@@ -18,7 +18,6 @@ from repro.exp.runner import TrialExecutionError, trial_seed
 from repro.exp.scenarios import run_scenario, scenario_names
 from repro.exp.suites import (
     RESULTS_SCHEMA,
-    JournalMismatchError,
     SuiteJournal,
     SuiteSpec,
     SuiteUnit,
@@ -325,17 +324,33 @@ class TestRunSuite:
             assert summary["energy_per_flit_pj"] > 0
         assert len(outcome.rows("6x6/heuristic")) == 3
 
-    def test_reuse_evals_memoizes_identical_evaluations(self):
-        suites._EVAL_CACHE.clear()
-        first = run_suite("table2-smoke", config=ExecutionConfig(jobs=1, reuse_evals=True))
-        cache_size = len(suites._EVAL_CACHE)
-        assert cache_size == len(first.units)
+    def test_store_shares_identical_evaluations_across_suites(self, tmp_path):
+        rows = []
+        tap = SimpleNamespace(emit=rows.append)
+        config = ExecutionConfig(jobs=1)
+        first = run_suite("table2-smoke", config=config, out_dir=tmp_path)
+        assert first.reused_subtrials == 0
         # fig5-smoke shares table2-smoke's five phased policies (same smoke
         # eval params, same weights) and adds the two static mid levels.
-        second = run_suite("fig5-smoke", config=ExecutionConfig(jobs=1, reuse_evals=True))
-        assert len(suites._EVAL_CACHE) == cache_size + 2
+        second = run_suite("fig5-smoke", config=config, out_dir=tmp_path, telemetry=tap)
+        dispatched = [
+            row["unit"] for row in rows if row["source"] == "subtrial" and row["attempts"] > 0
+        ]
+        assert sorted(dispatched) == ["phased/static-L1", "phased/static-L2"]
+        # Reused subtrials cost this run nothing, so the subtrial walls still
+        # fit inside the suite's own wall.
+        subtrial_rows = [row for row in rows if row["source"] == "subtrial"]
+        assert [row["wall_s"] for row in subtrial_rows if row["attempts"] == 0] == [0.0] * 5
+        assert sum(row["wall_s"] for row in subtrial_rows) <= second.wall_s
+        assert second.reused_subtrials == len(first.units) == 5
         for unit in ("phased/drl", "phased/static-min"):
             assert second.unit(unit)["rows"] == first.unit(unit)["rows"]
+        # Reused rows are journaled too (attempts=0): each journal stands alone.
+        journal = [
+            json.loads(line)
+            for line in (tmp_path / "fig5-smoke.journal.jsonl").read_text().splitlines()
+        ]
+        assert sorted(row["attempts"] for row in journal) == [0] * 5 + [1, 1]
 
     def test_outcome_lookup_errors_name_the_known_units(self):
         outcome = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
@@ -631,98 +646,156 @@ class TestSuiteJournal:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"key": "k2", "payload": {"ok"')  # killed mid-write
         assert SuiteJournal(path).load() == {"k1": {"ok": True}}
+        # The next run's append starts a fresh line instead of gluing its
+        # row onto the torn fragment (which would lose that row too).
+        journal = SuiteJournal(path)
+        journal.append("k3", unit="u", kind="sweep", attempts=1, payload={"ok": 3})
+        journal.close()
+        assert SuiteJournal(path).load() == {"k1": {"ok": True}, "k3": {"ok": 3}}
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert SuiteJournal(tmp_path / "none.jsonl").load() == {}
 
 
-class TestResumableSuites:
-    def test_resume_requires_an_out_dir(self):
-        with pytest.raises(ValueError, match="resume needs an out_dir"):
-            run_suite("fig1-smoke", resume=True)
+def _journal_rows(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
-    def test_resume_satisfies_everything_from_the_journal(self, tmp_path):
+
+class TestSubtrialStore:
+    def test_rerun_satisfies_everything_from_the_store(self, tmp_path):
         clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
         journal_path = tmp_path / "fig1-smoke.journal.jsonl"
-        rows = [json.loads(line) for line in journal_path.read_text().splitlines()]
-        resumed = run_suite(
-            "fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path, resume=True
-        )
-        assert clean.resumed_subtrials == 0
-        assert rows[0]["journal"]["suite"] == "fig1-smoke"
-        assert resumed.resumed_subtrials == len([row for row in rows if "key" in row])
+        rows = _journal_rows(journal_path)
+        rerun = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
+        assert clean.reused_subtrials == 0
+        assert rows and all(row["attempts"] == 1 for row in rows)
+        assert rerun.reused_subtrials == len(rows)
+        # Stored rows are not journaled a second time.
+        assert _journal_rows(journal_path) == rows
         assert suites.diff_payloads(
-            clean.deterministic_payload(), resumed.deterministic_payload()
+            clean.deterministic_payload(), rerun.deterministic_payload()
         ) == []
 
-    def test_journaled_table3_smoke_runs_and_resumes(self, tmp_path):
+    def test_journaled_table3_smoke_runs_and_reruns(self, tmp_path):
         # table3's ablation units are train-eval subtrials, whose ``agent``
         # is a kind string: journaling one used to die in Subtrial.key.
         config = ExecutionConfig(jobs=1)
         clean = run_suite("table3-smoke", config=config, out_dir=tmp_path)
-        journal_path = tmp_path / "table3-smoke.journal.jsonl"
-        rows = [json.loads(line) for line in journal_path.read_text().splitlines()]
-        keyed = [row for row in rows if "key" in row]
+        keyed = _journal_rows(tmp_path / "table3-smoke.journal.jsonl")
         assert {row["kind"] for row in keyed} >= {"train-eval", "eval"}
-        resumed = run_suite("table3-smoke", config=config, out_dir=tmp_path, resume=True)
-        assert resumed.resumed_subtrials == len(keyed)
+        rerun = run_suite("table3-smoke", config=config, out_dir=tmp_path)
+        assert rerun.reused_subtrials == len(keyed)
         assert suites.diff_payloads(
-            clean.deterministic_payload(), resumed.deterministic_payload()
+            clean.deterministic_payload(), rerun.deterministic_payload()
         ) == []
 
-    def test_fresh_run_truncates_a_stale_journal(self, tmp_path):
+    def test_a_row_under_a_foreign_key_is_never_read(self, tmp_path):
+        reference = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         path = tmp_path / "fig1-smoke.journal.jsonl"
         path.write_text('{"key": "stale", "payload": {}}\n', encoding="utf-8")
-        run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert rows and all(row.get("key") != "stale" for row in rows)
+        outcome = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
+        assert outcome.reused_subtrials == 0
+        rows = _journal_rows(path)
+        assert rows[0]["key"] == "stale"  # append-only: nothing is rewritten
+        assert len(rows) == 1 + 6  # the foreign row, then fig1-smoke's six
+        assert suites.diff_payloads(
+            reference.deterministic_payload(), outcome.deterministic_payload()
+        ) == []
 
-    def test_resume_refuses_a_journal_from_another_config(self, tmp_path):
-        run_suite("fig1-smoke", out_dir=tmp_path)
+    def test_a_source_change_misses_every_key(self, tmp_path, monkeypatch):
+        config = ExecutionConfig(jobs=1)
+        clean = run_suite("fig1-smoke", config=config, out_dir=tmp_path)
         journal_path = tmp_path / "fig1-smoke.journal.jsonl"
-        before = journal_path.read_bytes()
-        with pytest.raises(JournalMismatchError):
-            run_suite(
-                "fig1-smoke",
-                config=ExecutionConfig(engine="event"),
-                out_dir=tmp_path,
-                resume=True,
-            )
-        assert journal_path.read_bytes() == before
+        old_keys = {row["key"] for row in _journal_rows(journal_path)}
+        monkeypatch.setattr(suites, "_source_digest", lambda: "edited")
+        edited = run_suite("fig1-smoke", config=config, out_dir=tmp_path)
+        assert edited.reused_subtrials == 0
+        new_keys = {row["key"] for row in _journal_rows(journal_path)} - old_keys
+        assert len(new_keys) == len(old_keys)
+        assert suites.diff_payloads(
+            clean.deterministic_payload(), edited.deterministic_payload()
+        ) == []
+
+    def test_source_digest_is_computed_once_per_process(self):
+        digest = suites._source_digest()
+        assert re.fullmatch(r"[0-9a-f]{40}", digest)
+        assert suites._source_digest() is digest
 
     @pytest.mark.parametrize(
         "config",
-        [ExecutionConfig(train_jobs=2), ExecutionConfig(engine="flow")],
-        ids=["train-jobs", "flow-engine"],
+        [ExecutionConfig(engine="event"), ExecutionConfig(engine="flow")],
+        ids=["event-engine", "flow-engine"],
     )
-    def test_resume_refuses_every_outcome_affecting_change(self, tmp_path, config):
+    def test_an_engine_change_reuses_nothing(self, tmp_path, config):
+        journal_path = tmp_path / "fig1-smoke.journal.jsonl"
         run_suite("fig1-smoke", out_dir=tmp_path)
-        with pytest.raises(JournalMismatchError):
-            run_suite("fig1-smoke", config=config, out_dir=tmp_path, resume=True)
+        before = journal_path.read_bytes()
+        switched = run_suite("fig1-smoke", config=config, out_dir=tmp_path)
+        assert switched.reused_subtrials == 0
+        assert journal_path.read_bytes().startswith(before)
+        fresh = run_suite("fig1-smoke", config=config)
+        assert suites.diff_payloads(
+            fresh.deterministic_payload(), switched.deterministic_payload()
+        ) == []
+
+    def test_a_train_jobs_change_reuses_no_drl_eval(self, tmp_path):
+        smoke = get_suite("table2-smoke")
+        # Long enough for the replay buffer to fill and the weights to move;
+        # the smoke training stops before its first learner step, so its
+        # weights (and the eval's key) do not depend on train_jobs at all.
+        spec = dataclasses.replace(
+            smoke,
+            units=tuple(u for u in smoke.units if u.params["policy"] == "drl"),
+            training={**smoke.training, "episodes": 8, "episode_epochs": 8},
+        )
+        run_suite(spec, out_dir=tmp_path)
+        sharded = ExecutionConfig(train_jobs=2)
+        switched = run_suite(spec, config=sharded, out_dir=tmp_path)
+        assert switched.reused_subtrials == 0
+        fresh = run_suite(spec, config=sharded)
+        assert suites.diff_payloads(
+            fresh.deterministic_payload(), switched.deterministic_payload()
+        ) == []
+
+    def test_a_spec_param_change_reuses_nothing(self, tmp_path):
+        smoke = get_suite("fig1-smoke")
+        reseeded = dataclasses.replace(
+            smoke,
+            units=tuple(
+                dataclasses.replace(unit, params={**unit.params, "seed": 99})
+                for unit in smoke.units
+            ),
+        )
+        run_suite(smoke, out_dir=tmp_path)
+        switched = run_suite(reseeded, out_dir=tmp_path)
+        assert switched.reused_subtrials == 0
+        fresh = run_suite(reseeded)
+        assert suites.diff_payloads(
+            fresh.deterministic_payload(), switched.deterministic_payload()
+        ) == []
 
     @pytest.mark.parametrize(
         "config",
         [
             ExecutionConfig(jobs=2),
-            ExecutionConfig(reuse_evals=True),
             ExecutionConfig(supervision=SupervisionPolicy(max_retries=0)),
             ExecutionConfig(chaos=ChaosPolicy(rules=(ChaosRule("raise", 0),))),
             ExecutionConfig(engine="cycle"),
         ],
-        ids=["jobs", "reuse-evals", "supervision", "chaos", "explicit-default-engine"],
+        ids=["jobs", "supervision", "chaos", "explicit-default-engine"],
     )
-    def test_resume_accepts_a_config_that_only_reschedules(self, tmp_path, config):
+    def test_a_config_that_only_reschedules_reuses_all(self, tmp_path, config):
         clean = run_suite("fig1-smoke", out_dir=tmp_path)
-        # Drop the last journaled subtrial so the resume dispatches real
-        # work under the new config, not just journal reads.
+        # Drop the last journaled subtrial so the rerun dispatches real
+        # work under the new config, not just store reads.
         journal_path = tmp_path / "fig1-smoke.journal.jsonl"
         lines = journal_path.read_text(encoding="utf-8").splitlines(keepends=True)
         journal_path.write_text("".join(lines[:-1]), encoding="utf-8")
         keyed = len(SuiteJournal(journal_path).load())
-        resumed = run_suite("fig1-smoke", config=config, out_dir=tmp_path, resume=True)
-        assert resumed.resumed_subtrials == keyed
+        rerun = run_suite("fig1-smoke", config=config, out_dir=tmp_path)
+        assert rerun.reused_subtrials == keyed == len(lines) - 1
         assert suites.diff_payloads(
-            clean.deterministic_payload(), resumed.deterministic_payload()
+            clean.deterministic_payload(), rerun.deterministic_payload()
         ) == []
 
     def test_telemetry_rows_carry_attempt_accounting(self):
@@ -810,18 +883,16 @@ class TestSubtrialDispatch:
             ignore={"engine"},
         ) == []
 
-    def test_journal_rows_are_one_per_subtrial_and_resume(self, tmp_path):
+    def test_journal_rows_are_one_per_subtrial_and_rerun(self, tmp_path):
         config = ExecutionConfig(engine="event")
         clean = run_suite(_eval_suite(), config=config, out_dir=tmp_path)
-        path = tmp_path / "eval-dispatch-test.journal.jsonl"
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        payload_rows = [row for row in rows if "journal" not in row]
-        assert len(payload_rows) == 4
-        assert all(row["kind"] == "eval" for row in payload_rows)
-        resumed = run_suite(_eval_suite(), config=config, out_dir=tmp_path, resume=True)
-        assert resumed.resumed_subtrials == 4
+        rows = _journal_rows(tmp_path / "eval-dispatch-test.journal.jsonl")
+        assert len(rows) == 4
+        assert all(row["kind"] == "eval" for row in rows)
+        rerun = run_suite(_eval_suite(), config=config, out_dir=tmp_path)
+        assert rerun.reused_subtrials == 4
         assert suites.diff_payloads(
-            clean.deterministic_payload(), resumed.deterministic_payload()
+            clean.deterministic_payload(), rerun.deterministic_payload()
         ) == []
 
 
@@ -868,7 +939,7 @@ class TestSuiteChaos:
         subtrial_rows = [row for row in rows if row["source"] == "subtrial"]
         assert subtrial_rows[2]["attempts"] >= 2
 
-    def test_poison_subtrial_quarantines_then_resume_completes(self, tmp_path):
+    def test_poison_subtrial_quarantines_then_rerun_completes(self, tmp_path):
         clean = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1))
         poison = ChaosPolicy(rules=(ChaosRule("raise", 2),))
         with pytest.raises(TrialExecutionError):
@@ -881,10 +952,8 @@ class TestSuiteChaos:
             )
         journal = SuiteJournal(tmp_path / "fig1-smoke.journal.jsonl").load()
         assert journal  # the siblings landed before the quarantine surfaced
-        resumed = run_suite(
-            "fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path, resume=True
-        )
-        assert resumed.resumed_subtrials == len(journal)
+        rerun = run_suite("fig1-smoke", config=ExecutionConfig(jobs=1), out_dir=tmp_path)
+        assert rerun.reused_subtrials == len(journal)
         assert suites.diff_payloads(
-            clean.deterministic_payload(), resumed.deterministic_payload()
+            clean.deterministic_payload(), rerun.deterministic_payload()
         ) == []

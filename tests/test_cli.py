@@ -3,8 +3,10 @@
 import pytest
 
 from repro import cli
-from repro.core import ExperimentConfig, TrafficSpec, checkpoint
+from repro.analysis import format_table, summarize_trace
+from repro.core import ExperimentConfig, TrafficSpec, checkpoint, evaluate_controller
 from repro.core.training import train_dqn_controller
+from repro.exp.suites import build_experiment, build_policy
 
 
 class TestParser:
@@ -322,6 +324,17 @@ class TestEvaluateAndCompareCommands:
         assert exit_code == 0
         assert "drl[" in capsys.readouterr().out
 
+    def test_evaluate_random_is_the_suites_random_controller(self, capsys):
+        # evaluate/compare build baselines and presets through the suite
+        # registry, so their random row is table1's seeded random controller.
+        # Four epochs: seeds 0 and 7 draw the same first three of 4 actions.
+        experiment = build_experiment({"preset": "small"})
+        policy = build_policy("random", experiment)
+        expected = summarize_trace(evaluate_controller(experiment, policy, 4))
+        assert cli.main(["evaluate", "random", "--preset", "small", "--epochs", "4"]) == 0
+        table = format_table([expected], title=f"Evaluation — {policy.name}")
+        assert table in capsys.readouterr().out
+
     def test_compare_lists_all_baselines(self, capsys, monkeypatch):
         monkeypatch.setattr(
             ExperimentConfig,
@@ -554,6 +567,7 @@ class TestRemovedSurfaces:
             ["serve"],
             ["worker", "--connect", "tcp://127.0.0.1:1"],
             ["suite", "run", "fig1-smoke", "--workers", "tcp://127.0.0.1:1"],
+            ["suite", "run", "fig1-smoke", "--resume", "--out", "/tmp/x"],
         ],
     )
     def test_removed_commands_and_flags_exit_two(self, argv):
@@ -565,10 +579,10 @@ class TestRemovedSurfaces:
 class TestSuiteFaultTolerance:
     def test_fault_tolerance_flags_parse(self):
         args = cli.build_parser().parse_args(
-            ["suite", "run", "fig1-smoke", "--resume", "--out", "/tmp/x",
+            ["suite", "run", "fig1-smoke", "--out", "/tmp/x",
              "--timeout", "10", "--retries", "1", "--chaos", "kill:0@0"]
         )
-        assert args.resume is True
+        assert args.out_dir == "/tmp/x"
         assert args.timeout == 10.0
         assert args.retries == 1
         assert args.chaos == "kill:0@0"
@@ -579,52 +593,50 @@ class TestSuiteFaultTolerance:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["train", "--episodes-per-task", "0"])
 
-    def test_resume_without_out_rejected(self, capsys):
-        assert cli.main(["suite", "run", "fig1-smoke", "--resume"]) == 2
-        assert "--resume requires --out" in capsys.readouterr().err
-
-    def test_resume_refuses_a_journal_from_another_config(self, capsys, tmp_path):
-        out = str(tmp_path)
-        assert cli.main(["suite", "run", "fig1-smoke", "--out", out]) == 0
+    def test_rerun_on_another_engine_reuses_nothing(self, capsys, tmp_path):
+        cycle_dir, out = tmp_path / "cycle", tmp_path / "out"
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", str(cycle_dir)]) == 0
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", str(out)]) == 0
         capsys.readouterr()
         assert cli.main(
-            ["suite", "run", "fig1-smoke", "--resume", "--engine", "event",
-             "--out", out]
-        ) == 2
-        assert "different suite revision" in capsys.readouterr().err
-
-    def test_resume_under_another_jobs_count_is_accepted(self, capsys, tmp_path):
-        out = str(tmp_path)
-        assert cli.main(["suite", "run", "fig1-smoke", "--out", out]) == 0
-        capsys.readouterr()
-        assert cli.main(
-            ["suite", "run", "fig1-smoke", "--resume", "--jobs", "2", "--out", out]
+            ["suite", "run", "fig1-smoke", "--engine", "event", "--out", str(out)]
         ) == 0
-        assert "resumed" in capsys.readouterr().out
+        assert "reused" not in capsys.readouterr().out
+        assert cli.main(
+            ["suite", "diff", str(cycle_dir / "fig1-smoke.json"),
+             str(out / "fig1-smoke.json"), "--ignore", "engine"]
+        ) == 0
+
+    def test_rerun_under_another_jobs_count_reuses_all(self, capsys, tmp_path):
+        out = str(tmp_path)
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", out]) == 0
+        assert "reused" not in capsys.readouterr().out
+        assert cli.main(
+            ["suite", "run", "fig1-smoke", "--jobs", "2", "--out", out]
+        ) == 0
+        assert "suite fig1-smoke: reused 6 stored subtrial(s)" in capsys.readouterr().out
 
     def test_bad_chaos_spec_rejected(self, capsys):
         assert cli.main(["suite", "run", "fig1-smoke", "--chaos", "explode:0"]) == 2
         assert "bad --chaos spec" in capsys.readouterr().err
 
-    def test_poison_chaos_exits_four_with_resume_hint(self, capsys, tmp_path):
+    def test_poison_chaos_exits_four_with_rerun_hint(self, capsys, tmp_path):
         code = cli.main(
             ["suite", "run", "fig1-smoke", "--out", str(tmp_path),
              "--retries", "0", "--chaos", "raise:2@0"]
         )
         assert code == 4
-        assert "rerun with --resume" in capsys.readouterr().err
+        assert "rerun the same command" in capsys.readouterr().err
 
-    def test_chaos_run_resumes_to_a_clean_artifact(self, capsys, tmp_path):
+    def test_chaos_run_reruns_to_a_clean_artifact(self, capsys, tmp_path):
         clean_dir, chaos_dir = tmp_path / "clean", tmp_path / "chaos"
         assert cli.main(["suite", "run", "fig1-smoke", "--out", str(clean_dir)]) == 0
         assert cli.main(
             ["suite", "run", "fig1-smoke", "--out", str(chaos_dir),
              "--retries", "0", "--chaos", "raise:2@0"]
         ) == 4
-        assert cli.main(
-            ["suite", "run", "fig1-smoke", "--out", str(chaos_dir), "--resume"]
-        ) == 0
-        assert "resumed" in capsys.readouterr().out
+        assert cli.main(["suite", "run", "fig1-smoke", "--out", str(chaos_dir)]) == 0
+        assert "reused 5 stored subtrial(s)" in capsys.readouterr().out
         # The recovered artefact is indistinguishable from the clean one.
         assert cli.main(
             ["suite", "diff", str(clean_dir / "fig1-smoke.json"),

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.topology import Mesh
+from repro.traffic.generator import TrafficGenerator
+from repro.traffic.injection import BernoulliInjection
 from repro.traffic.patterns import (
     PATTERN_NAMES,
     BitComplementPattern,
@@ -112,6 +114,31 @@ class TestPermutationPatterns:
         pattern = NeighborPattern(MESH)
         assert pattern.destination(MESH.node_at(0, 0), RNG) == MESH.node_at(1, 0)
         assert pattern.destination(MESH.node_at(3, 2), RNG) == MESH.node_at(0, 2)
+
+    def test_flow_profile_of_a_permutation_seeds_no_rng(self, monkeypatch):
+        # The flow engine re-extracts the profile on every re-solve; a
+        # deterministic pattern must not seed a fresh RNG per source node.
+        mesh = Mesh(8, 8)
+        generator = TrafficGenerator(
+            mesh, TransposePattern(mesh), BernoulliInjection(0.1, 4), packet_size=4
+        )
+        constructed = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                constructed.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        profile = generator.flow_profile(0)
+        assert constructed == []
+        rate = generator.injection.packet_probability * 4  # flits per cycle
+        expected = [
+            (src, mesh.node_at(mesh.coordinates(src).y, mesh.coordinates(src).x), rate)
+            for src in mesh.nodes()
+            if mesh.coordinates(src).x != mesh.coordinates(src).y
+        ]
+        assert list(profile.flows) == expected
 
 
 class TestHotspot:
