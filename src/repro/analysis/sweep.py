@@ -157,12 +157,3 @@ def routing_throughput_sweep(
         )
         for routing in routing_algorithms
     }
-
-
-def saturation_rate(points: list[LoadLatencyPoint]) -> float:
-    """The lowest injection rate at which the sweep saturates (or the max rate
-    if it never does)."""
-    for point in points:
-        if point.saturated:
-            return point.injection_rate
-    return points[-1].injection_rate if points else 0.0

@@ -5,10 +5,10 @@
 * :mod:`repro.core.actions` — the configuration action spaces (DVFS levels,
   routing algorithms, enabled VCs, and their joint product);
 * :mod:`repro.core.rewards` — latency/energy reward specifications;
-* :mod:`repro.core.environment` — :class:`NoCConfigEnv`, the epoch-level MDP
-  the agent is trained in;
-* :mod:`repro.core.controller` — :class:`SelfConfigController`, the on-line
-  control loop that deploys a trained (or heuristic) policy on a simulator;
+* :mod:`repro.core.environment` — :class:`NoCConfigEnv`, the epoch-level MDP,
+  and ``rollout``, the one loop that every controller runs through;
+* :mod:`repro.core.controller` — :class:`SelfConfigController`, which
+  deploys a trained (or heuristic) policy on a simulator through that loop;
 * :mod:`repro.core.training` — training and evaluation harness;
 * :mod:`repro.core.config` — experiment configuration presets tying the
   whole stack together.

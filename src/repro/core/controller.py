@@ -1,11 +1,13 @@
 """The on-line self-configuration control loop.
 
-Training happens in :mod:`repro.core.training`; deployment happens here: a
-:class:`SelfConfigController` owns a live simulator and, at every control
-epoch, feeds the latest telemetry through a :class:`ControllerPolicy` to
-pick the next configuration.  Baseline controllers (static, heuristic,
-random — see :mod:`repro.baselines`) implement the same policy protocol, so
-every controller in the benchmarks is driven through the same loop.
+Training happens in :mod:`repro.core.training`; deployment happens here:
+:func:`run_policy` steps a :class:`ControllerPolicy` over a
+:class:`~repro.core.environment.NoCConfigEnv`, feeding it the latest
+telemetry at every control epoch, and records a :class:`ControllerTrace`;
+:class:`SelfConfigController` does so on one live simulator.  Baseline
+controllers (static, heuristic, random — see :mod:`repro.baselines`)
+implement the same policy protocol, so every controller in the benchmarks
+is driven through the same loop.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.actions import ActionSpace, ConfigurationAction
+from repro.core.environment import NoCConfigEnv, rollout
 from repro.core.features import FeatureExtractor
 from repro.core.rewards import RewardSpec
 from repro.noc.network import NoCSimulator
@@ -47,11 +50,11 @@ class DRLControllerPolicy:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """What happened during one controlled epoch."""
+    """What happened during one controlled epoch (``None`` actions: none taken)."""
 
     epoch: int
-    action_index: int
-    action: ConfigurationAction
+    action_index: int | None
+    action: ConfigurationAction | None
     telemetry: EpochTelemetry
     reward: float
 
@@ -139,6 +142,24 @@ class ControllerTrace:
         }
 
 
+def run_policy(env: NoCConfigEnv, policy: ControllerPolicy) -> ControllerTrace:
+    """Deploy ``policy`` on ``env`` for one episode and record every epoch."""
+    trace = ControllerTrace(policy_name=policy.name)
+    for epoch, (_, action_index, reward, _, _, info) in enumerate(
+        rollout(env, policy.select_action)
+    ):
+        trace.append(
+            EpochRecord(
+                epoch=epoch,
+                action_index=action_index,
+                action=info["action"],
+                telemetry=info["telemetry"],
+                reward=reward,
+            )
+        )
+    return trace
+
+
 class SelfConfigController:
     """Drives a live simulator with a configuration policy, epoch by epoch."""
 
@@ -164,31 +185,16 @@ class SelfConfigController:
         """Control the simulator for ``num_epochs`` epochs.
 
         The first ``warmup_epochs`` epochs run at the simulator's current
-        configuration to obtain an initial observation and are not recorded.
+        configuration to obtain an initial observation and are not recorded;
+        with none, the first recorded epoch runs with no action.
         """
-        if num_epochs < 1:
-            raise ValueError("num_epochs must be positive")
-        telemetry = None
-        for _ in range(max(warmup_epochs, 1)):
-            telemetry = self.simulator.run_epoch(self.epoch_cycles)
-        assert telemetry is not None
-        observation = self.feature_extractor.extract(telemetry)
-
-        trace = ControllerTrace(policy_name=self.policy.name)
-        for epoch in range(num_epochs):
-            action_index = self.policy.select_action(observation, telemetry)
-            action = self.action_space.apply(self.simulator, action_index)
-            telemetry = self.simulator.run_epoch(self.epoch_cycles)
-            observation = self.feature_extractor.extract(telemetry)
-            reward = self.reward_spec.compute(telemetry)
-            trace.append(
-                EpochRecord(
-                    epoch=epoch,
-                    action_index=action_index,
-                    action=action,
-                    telemetry=telemetry,
-                    reward=reward,
-                )
-            )
-        return trace
-
+        env = NoCConfigEnv(
+            lambda: self.simulator,
+            self.action_space,
+            self.feature_extractor,
+            self.reward_spec,
+            epoch_cycles=self.epoch_cycles,
+            episode_epochs=num_epochs,
+            warmup_epochs=warmup_epochs,
+        )
+        return run_policy(env, self.policy)

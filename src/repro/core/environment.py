@@ -1,20 +1,23 @@
-"""The epoch-level MDP the self-configuration agent is trained in.
+"""The epoch-level MDP, and the one loop that steps a policy over it.
 
 :class:`NoCConfigEnv` follows the familiar ``reset() / step(action)``
 environment interface (without depending on gym):
 
-* ``reset()`` builds a fresh simulator (via the supplied factory), runs a
-  warm-up epoch at the initial configuration and returns the first
-  observation;
-* ``step(action_index)`` actuates the chosen reconfiguration, advances the
-  simulator by one control epoch, and returns
-  ``(observation, reward, done, info)`` where ``info`` carries the raw
-  :class:`~repro.noc.stats.EpochTelemetry` and the decoded action.
+* ``reset()`` builds a fresh simulator (via the supplied factory), runs
+  ``warmup_epochs`` epochs at the initial configuration and returns the
+  last one's observation (``None`` with no warm-up);
+* ``step(action_index)`` actuates the chosen reconfiguration (``None``
+  keeps the current one), advances the simulator by one control epoch, and
+  returns ``(observation, reward, done, info)`` where ``info`` carries the
+  raw :class:`~repro.noc.stats.EpochTelemetry` and the decoded action.
+
+It is the only stepper of control epochs: evaluation, training, the sharded
+actors and scenarios all run through :func:`rollout`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from repro.noc.stats import EpochTelemetry
 
 
 class NoCConfigEnv:
-    """Gym-style environment over the NoC simulator."""
+    """Gym-style environment; ``on_cycle`` rides on every epoch it runs."""
 
     def __init__(
         self,
@@ -37,6 +40,7 @@ class NoCConfigEnv:
         epoch_cycles: int = 500,
         episode_epochs: int = 20,
         warmup_epochs: int = 1,
+        on_cycle: Callable[[int], None] | None = None,
     ) -> None:
         if epoch_cycles < 1:
             raise ValueError("epoch_cycles must be positive")
@@ -51,6 +55,7 @@ class NoCConfigEnv:
         self.epoch_cycles = epoch_cycles
         self.episode_epochs = episode_epochs
         self.warmup_epochs = warmup_epochs
+        self.on_cycle = on_cycle
 
         self.simulator: NoCSimulator | None = None
         self.last_telemetry: EpochTelemetry | None = None
@@ -66,23 +71,24 @@ class NoCConfigEnv:
     def num_actions(self) -> int:
         return self.action_space.size
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> np.ndarray | None:
         """Start a fresh episode and return the initial observation."""
         self.simulator = self.simulator_factory()
         self._epochs_taken = 0
         telemetry = None
-        for _ in range(max(self.warmup_epochs, 1)):
-            telemetry = self.simulator.run_epoch(self.epoch_cycles)
-        assert telemetry is not None
+        for _ in range(self.warmup_epochs):
+            telemetry = self.simulator.run_epoch(self.epoch_cycles, on_cycle=self.on_cycle)
         self.last_telemetry = telemetry
-        return self.feature_extractor.extract(telemetry)
+        return None if telemetry is None else self.feature_extractor.extract(telemetry)
 
-    def step(self, action_index: int) -> tuple[np.ndarray, float, bool, dict]:
+    def step(self, action_index: int | None) -> tuple[np.ndarray, float, bool, dict]:
         """Apply one reconfiguration action and advance one control epoch."""
         if self.simulator is None:
             raise RuntimeError("call reset() before step()")
-        action = self.action_space.apply(self.simulator, action_index)
-        telemetry = self.simulator.run_epoch(self.epoch_cycles)
+        action = None
+        if action_index is not None:
+            action = self.action_space.apply(self.simulator, action_index)
+        telemetry = self.simulator.run_epoch(self.epoch_cycles, on_cycle=self.on_cycle)
         self.last_telemetry = telemetry
         self._epochs_taken += 1
 
@@ -97,18 +103,23 @@ class NoCConfigEnv:
         }
         return observation, reward, done, info
 
-    # -- conveniences -------------------------------------------------------------------
 
-    def run_episode(self, policy: Callable[[np.ndarray], int]) -> list[dict]:
-        """Roll out one episode under ``policy``; returns the per-step infos
-        (each augmented with the reward)."""
-        observation = self.reset()
-        records = []
-        done = False
-        while not done:
-            action_index = policy(observation)
-            observation, reward, done, info = self.step(action_index)
-            info = dict(info)
-            info["reward"] = reward
-            records.append(info)
-        return records
+def rollout(env: NoCConfigEnv, select_action: Callable | None) -> Iterator[tuple]:
+    """Reset ``env``, then step it through one episode, yielding
+    ``(observation, action_index, reward, next_observation, done, info)``.
+
+    ``select_action(observation, telemetry)`` picks each epoch's action from
+    the previous epoch.  With no policy, or no epoch before (no warm-up),
+    the epoch runs at the current configuration.  ``env`` is driven through
+    ``reset``/``step`` only, so a proxy wrapping those sees every epoch.
+    """
+    observation = env.reset()
+    done = False
+    while not done:
+        telemetry = env.last_telemetry
+        action_index = None
+        if select_action is not None and telemetry is not None:
+            action_index = select_action(observation, telemetry)
+        next_observation, reward, done, info = env.step(action_index)
+        yield observation, action_index, reward, next_observation, done, info
+        observation = next_observation

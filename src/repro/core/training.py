@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -12,9 +13,9 @@ from repro.core.controller import (
     ControllerPolicy,
     ControllerTrace,
     DRLControllerPolicy,
-    SelfConfigController,
+    run_policy,
 )
-from repro.core.environment import NoCConfigEnv
+from repro.core.environment import NoCConfigEnv, rollout
 from repro.rl.agent import Transition
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qtable import TabularQAgent, TabularQConfig, UniformDiscretizer
@@ -66,17 +67,20 @@ class TrainingResult:
         return DRLControllerPolicy(self.agent, name=name)
 
 
-def run_training_episode(env: NoCConfigEnv, agent) -> tuple[float, float, float]:
-    """One training episode; returns (return, mean latency, mean energy/flit)."""
-    observation = env.reset()
+def explore_episode(
+    env: NoCConfigEnv, agent, record: Callable[[Transition], None]
+) -> tuple[float, float, float]:
+    """One exploring episode of ``agent`` on ``env``, each transition handed
+    to ``record``; returns (return, mean latency, mean energy/flit)."""
+    if env.warmup_epochs < 1:
+        raise ValueError("training needs warmup_epochs >= 1 for a first observation")
     episode_return = 0.0
     latencies = []
     energies = []
-    done = False
-    while not done:
-        action = agent.act(observation, explore=True)
-        next_observation, reward, done, info = env.step(action)
-        agent.observe(
+    for observation, action, reward, next_observation, done, info in rollout(
+        env, lambda observation, _: agent.act(observation, explore=True)
+    ):
+        record(
             Transition(
                 state=observation,
                 action=action,
@@ -85,15 +89,33 @@ def run_training_episode(env: NoCConfigEnv, agent) -> tuple[float, float, float]
                 done=done,
             )
         )
-        observation = next_observation
         episode_return += reward
         telemetry = info["telemetry"]
         latencies.append(telemetry.average_total_latency)
         energies.append(telemetry.energy_per_flit_pj)
-    agent.end_episode()
     mean_latency = float(np.mean(latencies)) if latencies else 0.0
     mean_energy = float(np.mean(energies)) if energies else 0.0
     return episode_return, mean_latency, mean_energy
+
+
+def run_training_episode(env: NoCConfigEnv, agent) -> tuple[float, float, float]:
+    """One training episode; returns (return, mean latency, mean energy/flit)."""
+    curve = explore_episode(env, agent, agent.observe)
+    agent.end_episode()
+    return curve
+
+
+def train_episodes(env: NoCConfigEnv, result: TrainingResult, episodes: int) -> TrainingResult:
+    """Train ``result.agent`` for ``episodes`` more episodes on ``env``,
+    appending each episode's curve samples to ``result``."""
+    start = time.perf_counter()
+    for _ in range(episodes):
+        episode_return, mean_latency, mean_energy = run_training_episode(env, result.agent)
+        result.episode_returns.append(episode_return)
+        result.episode_mean_latency.append(mean_latency)
+        result.episode_mean_energy_per_flit.append(mean_energy)
+    record_training_timing(result, episodes, time.perf_counter() - start)
+    return result
 
 
 def record_training_timing(result: TrainingResult, episodes: int, wall_time_s: float) -> None:
@@ -133,16 +155,7 @@ def train_dqn_controller(
     if episodes < 1:
         raise ValueError("episodes must be positive")
     config = dqn_config or default_dqn_config(env, **dqn_overrides)
-    agent = DQNAgent(config)
-    result = TrainingResult(agent=agent)
-    start = time.perf_counter()
-    for _ in range(episodes):
-        episode_return, mean_latency, mean_energy = run_training_episode(env, agent)
-        result.episode_returns.append(episode_return)
-        result.episode_mean_latency.append(mean_latency)
-        result.episode_mean_energy_per_flit.append(mean_energy)
-    record_training_timing(result, episodes, time.perf_counter() - start)
-    return result
+    return train_episodes(env, TrainingResult(agent=DQNAgent(config)), episodes)
 
 
 def train_tabular_controller(
@@ -162,15 +175,7 @@ def train_tabular_controller(
         **config_overrides,
     )
     agent = TabularQAgent(config, UniformDiscretizer(lows, highs, bins_per_feature))
-    result = TrainingResult(agent=agent)
-    start = time.perf_counter()
-    for _ in range(episodes):
-        episode_return, mean_latency, mean_energy = run_training_episode(env, agent)
-        result.episode_returns.append(episode_return)
-        result.episode_mean_latency.append(mean_latency)
-        result.episode_mean_energy_per_flit.append(mean_energy)
-    record_training_timing(result, episodes, time.perf_counter() - start)
-    return result
+    return train_episodes(env, TrainingResult(agent=agent), episodes)
 
 
 def evaluate_controller(
@@ -183,15 +188,9 @@ def evaluate_controller(
 
     The evaluation simulator uses a traffic seed disjoint from training
     (``seed_offset``) so results reflect generalisation, not memorisation.
+    It warms up for the experiment's ``warmup_epochs`` and then records
+    ``num_epochs`` epochs (default: the experiment's ``episode_epochs``).
     """
-    simulator = experiment.build_simulator(seed_offset=seed_offset)
-    controller = SelfConfigController(
-        simulator=simulator,
-        action_space=experiment.build_action_space(),
-        feature_extractor=experiment.build_feature_extractor(),
-        policy=policy,
-        reward_spec=experiment.reward,
-        epoch_cycles=experiment.epoch_cycles,
-    )
-    return controller.run(num_epochs or experiment.episode_epochs)
-
+    if num_epochs:
+        experiment = replace(experiment, episode_epochs=num_epochs)
+    return run_policy(experiment.build_environment(seed_offset=seed_offset), policy)

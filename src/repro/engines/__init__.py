@@ -31,7 +31,6 @@ from repro.engines.base import (
     build_engine,
     engine_info,
     engine_infos,
-    engine_is_approximate,
     engine_names,
     get_engine_factory,
     register_engine,
@@ -56,7 +55,6 @@ __all__ = [
     "build_engine",
     "engine_info",
     "engine_infos",
-    "engine_is_approximate",
     "engine_names",
     "get_engine_factory",
     "register_engine",

@@ -116,11 +116,6 @@ def engine_infos() -> tuple[EngineInfo, ...]:
     return tuple(_INFO[name] for name in engine_names())
 
 
-def engine_is_approximate(name: str) -> bool:
-    """Whether ``name`` synthesizes telemetry instead of simulating it exactly."""
-    return engine_info(name).approximate
-
-
 def validate_engine_name(name: str) -> str:
     """Return ``name`` if registered, raise ``ValueError`` otherwise."""
     if name not in _REGISTRY:

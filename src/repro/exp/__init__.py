@@ -67,24 +67,20 @@ from repro.exp.suites import (
     perf_record,
     register_suite,
     run_suite,
-    suite_for_artifact,
     suite_names,
     train_controller,
 )
 from repro.exp.training import (
     ActorBatchTask,
     ActorRollout,
-    ActorTask,
     default_experiment_dqn_config,
     run_actor_batch,
-    run_actor_episode,
     train_dqn_sharded,
 )
 
 __all__ = [
     "ActorBatchTask",
     "ActorRollout",
-    "ActorTask",
     "ChaosError",
     "ChaosPolicy",
     "ChaosRule",
@@ -127,11 +123,9 @@ __all__ = [
     "register_scenario",
     "register_suite",
     "run_actor_batch",
-    "run_actor_episode",
     "run_scenario",
     "run_suite",
     "scenario_names",
-    "suite_for_artifact",
     "suite_names",
     "train_controller",
     "train_dqn_sharded",

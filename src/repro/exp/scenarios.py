@@ -26,6 +26,10 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.baselines.heuristic import ThresholdDvfsPolicy
+from repro.core.actions import DvfsActionSpace
+from repro.core.environment import NoCConfigEnv, rollout
+from repro.core.features import FeatureExtractor
+from repro.core.rewards import RewardSpec
 from repro.noc.network import NoCSimulator, SimulatorConfig
 from repro.noc.topology import Mesh
 from repro.traffic.application import PhasedWorkload
@@ -99,9 +103,9 @@ class ScenarioSpec:
     epochs: int = 8
     epoch_cycles: int = 500
     repeat_phases: bool = True
-    #: Execution engine (a :mod:`repro.engines` registry name).  Every
-    #: engine yields byte-identical telemetry, so this is a perf knob; it
-    #: serializes with the spec, so the pool workers that rebuild it honour it.
+    #: Execution engine (a :mod:`repro.engines` registry name).  The exact
+    #: engines yield byte-identical telemetry, the approximate ``flow`` one
+    #: does not; it serializes with the spec, so pool workers honour it.
     engine: str = "cycle"
 
     def __post_init__(self) -> None:
@@ -329,8 +333,10 @@ def run_scenario(
     short overrides).  ``engine`` overrides the spec's execution engine (a
     :mod:`repro.engines` name; telemetry is engine-agnostic).
     ``idle_fast_path`` / ``activity_tracking`` toggle the cycle engine's
-    optimisations (the hot-path benchmark and the equivalence tests run the
-    optimised and naive variants over the same spec).
+    optimisations (the equivalence tests run the optimised and naive
+    variants over the same spec).
+    The trial is one :func:`~repro.core.environment.rollout` with no
+    warm-up; the ``threshold`` policy acts through a ``DvfsActionSpace``.
 
     ``telemetry`` is an optional live tap — anything with an
     ``emit(row: dict)`` method, typically a
@@ -358,11 +364,10 @@ def run_scenario(
     simulator.activity_tracking = activity_tracking
     simulator.traffic = spec.build_workload(simulator.topology, seed=seed)
     simulator.set_global_dvfs_level(spec.dvfs_level)
-    policy = None
+    levels = len(simulator.dvfs_levels)
+    select_action = None
     if spec.dvfs_policy == "threshold":
-        policy = ThresholdDvfsPolicy(
-            len(simulator.dvfs_levels), initial_level=spec.dvfs_level
-        )
+        select_action = ThresholdDvfsPolicy(levels, initial_level=spec.dvfs_level).select_action
 
     fault_queue = sorted(spec.faults, key=lambda event: (event.cycle, event.src, event.dst))
 
@@ -374,14 +379,21 @@ def run_scenario(
             else:
                 simulator.repair_link(event.src, event.dst)
 
-    on_cycle = apply_due_faults if fault_queue else None
+    env = NoCConfigEnv(
+        lambda: simulator,
+        DvfsActionSpace(levels),
+        FeatureExtractor(simulator.config),
+        RewardSpec.balanced(),
+        epoch_cycles=spec.epoch_cycles,
+        episode_epochs=spec.epochs,
+        warmup_epochs=0,
+        on_cycle=apply_due_faults if fault_queue else None,
+    )
     epoch_payloads: list[dict] = []
-    start = time.perf_counter()
-    for epoch_index in range(spec.epochs):
-        epoch_start = time.perf_counter()
-        epoch_telemetry = simulator.run_epoch(spec.epoch_cycles, on_cycle=on_cycle)
+    start = epoch_start = time.perf_counter()
+    for epoch_index, (*_, info) in enumerate(rollout(env, select_action)):
         epoch_wall_s = time.perf_counter() - epoch_start
-        payload = epoch_telemetry.as_dict()
+        payload = info["telemetry"].as_dict()
         epoch_payloads.append(payload)
         if telemetry is not None:
             telemetry.emit(
@@ -401,9 +413,7 @@ def run_scenario(
                     ),
                 }
             )
-        if policy is not None:
-            level = policy.select_action(None, epoch_telemetry)
-            simulator.set_global_dvfs_level(level)
+        epoch_start = time.perf_counter()
     wall_time_s = time.perf_counter() - start
     total_cycles = spec.epochs * spec.epoch_cycles
 

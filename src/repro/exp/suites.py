@@ -1257,14 +1257,6 @@ def paper_suites() -> tuple[SuiteSpec, ...]:
     )
 
 
-def suite_for_artifact(artifact: str) -> SuiteSpec:
-    for spec in paper_suites():
-        if spec.artifact == artifact:
-            return spec
-    known = ", ".join(spec.artifact for spec in paper_suites())
-    raise KeyError(f"no suite registered for artifact {artifact!r}; known: {known}")
-
-
 # ---------------------------------------------------------------------------
 # the paper's catalogue
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ interleaves environment rollout and gradient descent in one loop, which
 caps training throughput at a single core.  This module splits the two
 roles the way distributed DQN implementations do:
 
-* **Actors** — ``train_jobs`` worker processes.  Each actor task runs one
-  rollout episode against its *own*
-  :class:`~repro.core.environment.NoCConfigEnv`, choosing actions
-  epsilon-greedily from a broadcast snapshot of the online network, and
-  ships the episode's transition batch back to the parent in the compact
+* **Actors** — ``train_jobs`` worker processes.  Each actor task runs the
+  serial trainer's episode loop against its *own*
+  :class:`~repro.core.environment.NoCConfigEnv` per episode, choosing
+  actions epsilon-greedily from a broadcast snapshot of the online network,
+  and ships the transitions back to the parent in the compact
   :func:`~repro.rl.replay.pack_transitions` wire format.
 * **Learner** — the parent process.  It feeds returned transitions (in
   episode order) through the one true ``DQNAgent`` — the existing
@@ -56,12 +56,12 @@ from repro.core.config import ExperimentConfig
 from repro.core.training import (
     TrainingResult,
     default_dqn_config,
+    explore_episode,
     record_training_timing,
-    run_training_episode,
+    train_episodes,
 )
 from repro.exp.execution import ExecutionConfig
 from repro.exp.runner import SupervisedTrialPool, trial_seed
-from repro.rl.agent import Transition
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.replay import pack_transitions, unpack_transitions
 
@@ -77,22 +77,6 @@ def default_experiment_dqn_config(experiment: ExperimentConfig, **overrides) -> 
         num_actions=experiment.build_action_space().size,
     )
     return default_dqn_config(probe, **overrides)
-
-
-@dataclass(frozen=True)
-class ActorTask:
-    """Everything one actor process needs to roll out one episode.
-
-    Plain data end to end: the experiment spec, the agent hyperparameters,
-    a weight snapshot (``MLP.get_state`` payload) and the episode index the
-    RNG streams and the epsilon schedule position derive from.
-    """
-
-    experiment: ExperimentConfig
-    dqn_config: DQNConfig
-    network_state: dict
-    episode_index: int
-    steps_per_episode: int
 
 
 @dataclass(frozen=True)
@@ -145,36 +129,14 @@ def _rollout_episode(agent: DQNAgent, task, episode_index: int) -> ActorRollout:
         }
     )
 
-    observation = env.reset()
-    transitions: list[Transition] = []
-    episode_return = 0.0
-    latencies: list[float] = []
-    energies: list[float] = []
-    done = False
-    while not done:
-        action = agent.act(observation, explore=True)
-        next_observation, reward, done, info = env.step(action)
-        transitions.append(
-            Transition(
-                state=observation,
-                action=action,
-                reward=reward,
-                next_state=next_observation,
-                done=done,
-            )
-        )
-        observation = next_observation
-        episode_return += reward
-        telemetry = info["telemetry"]
-        latencies.append(telemetry.average_total_latency)
-        energies.append(telemetry.energy_per_flit_pj)
-
+    transitions = []
+    episode_return, mean_latency, mean_energy = explore_episode(env, agent, transitions.append)
     return ActorRollout(
         episode_index=episode_index,
         transitions=pack_transitions(transitions),
         episode_return=episode_return,
-        mean_latency=float(np.mean(latencies)) if latencies else 0.0,
-        mean_energy=float(np.mean(energies)) if energies else 0.0,
+        mean_latency=mean_latency,
+        mean_energy=mean_energy,
     )
 
 
@@ -193,13 +155,6 @@ def run_actor_batch(task: ActorBatchTask) -> tuple[ActorRollout, ...]:
         _rollout_episode(agent, task, episode_index)
         for episode_index in task.episode_indices
     )
-
-
-def run_actor_episode(task: ActorTask) -> ActorRollout:
-    """Roll out one episode under the broadcast policy (module-level: picklable)."""
-    agent = DQNAgent(task.dqn_config)
-    agent.online.set_state(task.network_state)
-    return _rollout_episode(agent, task, task.episode_index)
 
 
 def _resolve_agent_and_result(
@@ -284,6 +239,9 @@ def train_dqn_sharded(
         raise ValueError("sync_interval must be at least 1")
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
+    if experiment.warmup_epochs < 1:
+        # Checked here too: an actor would otherwise fail every retry.
+        raise ValueError("training needs warmup_epochs >= 1")
 
     agent, result = _resolve_agent_and_result(experiment, dqn_config, resume_from, dqn_overrides)
     start_episode = result.episodes
@@ -292,14 +250,7 @@ def train_dqn_sharded(
 
     if jobs == 1:
         env = experiment.build_environment(seed_offset=start_episode)
-        start = time.perf_counter()
-        for _ in range(start_episode, episodes):
-            episode_return, mean_latency, mean_energy = run_training_episode(env, agent)
-            result.episode_returns.append(episode_return)
-            result.episode_mean_latency.append(mean_latency)
-            result.episode_mean_energy_per_flit.append(mean_energy)
-        record_training_timing(result, episodes - start_episode, time.perf_counter() - start)
-        return result
+        return train_episodes(env, result, episodes - start_episode)
 
     round_size = jobs * episodes_per_task
     if start_episode % round_size != 0:

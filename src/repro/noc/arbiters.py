@@ -65,19 +65,3 @@ class RoundRobinArbiter:
         raise ValueError(
             f"requests outside arbiter universe: {sorted(map(str, set(requests)))}"
         )
-
-
-class PriorityArbiter:
-    """A fixed-priority arbiter: earlier entries in the universe always win."""
-
-    def __init__(self, universe: Sequence[Hashable]) -> None:
-        if not universe:
-            raise ValueError("arbiter universe must not be empty")
-        self._universe = list(universe)
-        self._rank = {key: i for i, key in enumerate(self._universe)}
-
-    def grant(self, requests: Iterable[Hashable]) -> Hashable | None:
-        requesting = [r for r in requests if r in self._rank]
-        if not requesting:
-            return None
-        return min(requesting, key=self._rank.__getitem__)

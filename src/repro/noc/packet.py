@@ -32,12 +32,6 @@ class FlitType(Enum):
 _packet_ids = itertools.count()
 
 
-def reset_packet_ids() -> None:
-    """Reset the global packet id counter (used by tests for determinism)."""
-    global _packet_ids
-    _packet_ids = itertools.count()
-
-
 @dataclass
 class Packet:
     """A message travelling from ``src`` node to ``dst`` node.

@@ -18,11 +18,8 @@ from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.networks import MLP
 from repro.rl.optimizers import SGD, Adam, Momentum, RMSProp, get_optimizer
 from repro.rl.policies import (
-    ConstantSchedule,
     EpsilonGreedyPolicy,
-    ExponentialDecaySchedule,
     LinearDecaySchedule,
-    SoftmaxPolicy,
 )
 from repro.rl.qtable import TabularQAgent, TabularQConfig, UniformDiscretizer
 from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer
@@ -30,11 +27,9 @@ from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer
 __all__ = [
     "Adam",
     "Agent",
-    "ConstantSchedule",
     "DQNAgent",
     "DQNConfig",
     "EpsilonGreedyPolicy",
-    "ExponentialDecaySchedule",
     "LinearDecaySchedule",
     "MLP",
     "Momentum",
@@ -42,7 +37,6 @@ __all__ = [
     "ReplayBuffer",
     "RMSProp",
     "SGD",
-    "SoftmaxPolicy",
     "TabularQAgent",
     "TabularQConfig",
     "Transition",

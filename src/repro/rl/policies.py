@@ -15,14 +15,6 @@ class Schedule(ABC):
         """Schedule value at ``step``."""
 
 
-class ConstantSchedule(Schedule):
-    def __init__(self, constant: float) -> None:
-        self.constant = constant
-
-    def value(self, step: int) -> float:
-        return self.constant
-
-
 class LinearDecaySchedule(Schedule):
     """Linear interpolation from ``start`` to ``end`` over ``decay_steps``."""
 
@@ -36,20 +28,6 @@ class LinearDecaySchedule(Schedule):
     def value(self, step: int) -> float:
         fraction = min(max(step, 0) / self.decay_steps, 1.0)
         return self.start + fraction * (self.end - self.start)
-
-
-class ExponentialDecaySchedule(Schedule):
-    """start * decay^step, floored at ``end``."""
-
-    def __init__(self, start: float, end: float, decay: float) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.start = start
-        self.end = end
-        self.decay = decay
-
-    def value(self, step: int) -> float:
-        return max(self.end, self.start * self.decay ** max(step, 0))
 
 
 class EpsilonGreedyPolicy:
@@ -85,27 +63,3 @@ class EpsilonGreedyPolicy:
     def set_state(self, state: dict) -> None:
         self.steps = int(state["steps"])
         self._rng.bit_generator.state = state["rng"]
-
-
-class SoftmaxPolicy:
-    """Boltzmann exploration: sample actions proportionally to exp(Q / tau)."""
-
-    def __init__(self, temperature: float = 1.0, seed: int = 0) -> None:
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.temperature = temperature
-        self._rng = np.random.default_rng(seed)
-
-    def probabilities(self, q_values: np.ndarray) -> np.ndarray:
-        q_values = np.asarray(q_values, dtype=float)
-        logits = (q_values - q_values.max()) / self.temperature
-        exp = np.exp(logits)
-        return exp / exp.sum()
-
-    def select(self, q_values: np.ndarray, explore: bool = True) -> int:
-        q_values = np.asarray(q_values, dtype=float)
-        if q_values.ndim != 1 or q_values.size == 0:
-            raise ValueError("q_values must be a non-empty 1-D array")
-        if not explore:
-            return int(np.argmax(q_values))
-        return int(self._rng.choice(q_values.size, p=self.probabilities(q_values)))

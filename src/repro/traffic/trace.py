@@ -1,17 +1,15 @@
 """Trace record and replay.
 
 A trace is a list of ``(cycle, src, dst, size)`` records.  Traces can be
-captured from any traffic source (``record_trace``), persisted as JSON lines
-and replayed deterministically (:class:`TraceTrafficSource`), which is how
+captured from any traffic source (``record_trace``) and replayed
+deterministically (:class:`TraceTrafficSource`), which is how
 reproducible workloads are shared between the examples and the benchmarks.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.noc.packet import Packet
 
@@ -39,27 +37,6 @@ def record_trace(traffic_source, cycles: int) -> list[TraceRecord]:
             records.append(
                 TraceRecord(cycle=cycle, src=packet.src, dst=packet.dst, size=packet.size)
             )
-    return records
-
-
-def save_trace(records: list[TraceRecord], path: str | Path) -> None:
-    """Persist a trace as JSON lines."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(asdict(record)) + "\n")
-
-
-def load_trace(path: str | Path) -> list[TraceRecord]:
-    """Load a trace previously written by :func:`save_trace`."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            records.append(TraceRecord(**payload))
     return records
 
 

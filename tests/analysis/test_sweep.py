@@ -17,7 +17,6 @@ from repro.analysis.sweep import (
     LoadLatencyPoint,
     load_latency_sweep,
     routing_throughput_sweep,
-    saturation_rate,
 )
 from repro.noc.network import SimulatorConfig
 
@@ -63,11 +62,6 @@ class TestLoadLatencySweep:
         points = load_latency_sweep(CONFIG, [0.9], pattern="transpose", **SWEEP_KWARGS)
         assert points[0].saturated
         assert points[0].throughput < points[0].offered_load
-
-    def test_saturation_rate_helper(self, uniform_sweep):
-        rate = saturation_rate(uniform_sweep)
-        assert rate in [point.injection_rate for point in uniform_sweep]
-        assert saturation_rate([]) == 0.0
 
     def test_dvfs_level_shifts_the_curve(self):
         fast = load_latency_sweep(CONFIG, [0.10], dvfs_level=0, **SWEEP_KWARGS)

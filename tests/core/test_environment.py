@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExperimentConfig, TrafficSpec
-from repro.core.environment import NoCConfigEnv
+from repro.core.environment import NoCConfigEnv, rollout
 from repro.noc.stats import EpochTelemetry
 
 
@@ -93,12 +93,44 @@ class TestEpisodeProtocol:
         env.step(1)
         assert env.simulator.dvfs_level_index == 1
 
-    def test_run_episode_with_policy(self):
+    def test_rollout_with_policy(self):
         env = small_env(episode_epochs=4)
-        records = env.run_episode(lambda observation: 1)
-        assert len(records) == 4
-        assert all("reward" in record for record in records)
-        assert all(record["action"].dvfs_level == 1 for record in records)
+        steps = list(rollout(env, lambda observation, telemetry: 1))
+        assert len(steps) == 4
+        assert all(isinstance(reward, float) for _, _, reward, _, _, _ in steps)
+        assert all(info["action"].dvfs_level == 1 for *_, info in steps)
+        assert [done for _, _, _, _, done, _ in steps] == [False, False, False, True]
+
+
+class TestWarmup:
+    def test_zero_warmup_epochs_simulate_nothing_on_reset(self):
+        env = small_env(warmup_epochs=0)
+        assert env.reset() is None
+        assert env.simulator.model.cycle == 0
+        assert env.last_telemetry is None
+
+    def test_warmup_epochs_are_run_as_configured(self):
+        env = small_env(warmup_epochs=2)
+        env.reset()
+        assert env.simulator.model.cycle == 2 * env.epoch_cycles
+
+    def test_without_warmup_the_first_epoch_takes_no_action(self):
+        env = small_env(warmup_epochs=0, episode_epochs=3)
+        seen = []
+
+        def policy(observation, telemetry):
+            seen.append(telemetry)
+            return 3
+
+        steps = list(rollout(env, policy))
+        assert [action for _, action, *_ in steps] == [None, 3, 3]
+        assert steps[0][0] is None and steps[0][5]["action"] is None
+        assert seen == [steps[0][5]["telemetry"], steps[1][5]["telemetry"]]
+        assert env.simulator.model.cycle == 3 * env.epoch_cycles
+
+    def test_negative_warmup_is_rejected(self):
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            small_env(warmup_epochs=-1)
 
 
 class TestRewardSignalShape:

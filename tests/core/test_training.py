@@ -5,6 +5,8 @@ counts tiny and assert the machinery (experience flow, result bookkeeping,
 evaluation plumbing) rather than final policy quality.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,13 @@ class TestTrainDQN:
         env = tiny_experiment.build_environment()
         with pytest.raises(ValueError):
             train_dqn_controller(env, episodes=0)
+
+    def test_rejects_zero_warmup_epochs(self, tiny_experiment):
+        # Without a warm-up epoch the agent has no first observation to act on.
+        env = replace(tiny_experiment, warmup_epochs=0).build_environment()
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            train_dqn_controller(env, episodes=1)
+        assert env.simulator is None
 
     def test_produces_per_episode_records(self, tiny_experiment):
         env = tiny_experiment.build_environment()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engines import engine_info, engine_is_approximate, engine_names
+from repro.engines import engine_info, engine_names
 from repro.engines.flow import FlowEngine, waterfill, _waterfill_python
 from repro.exp.suites import APPROX_DIFF_TOLERANCES, _within_tolerance, get_suite
 from repro.noc.network import NoCSimulator
@@ -164,9 +164,8 @@ class TestRegistry:
         info = engine_info("flow")
         assert info.approximate
         assert info.selectable
-        assert engine_is_approximate("flow")
-        assert not engine_is_approximate("cycle")
-        assert not engine_is_approximate("event")
+        assert not engine_info("cycle").approximate
+        assert not engine_info("event").approximate
 
 
 def _run(engine, *, width=4, pattern="uniform", rate=0.15, cycles=3000, dvfs=0):

@@ -10,6 +10,7 @@ The contract under test mirrors the PR 2 engine-toggle discipline:
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from repro.core.training import default_dqn_config, train_dqn_controller
 from repro.exp.execution import ExecutionConfig
 from repro.exp.training import (
     ActorBatchTask,
-    ActorTask,
     default_experiment_dqn_config,
     run_actor_batch,
-    run_actor_episode,
     train_dqn_sharded,
 )
 from repro.rl.dqn import DQNAgent
@@ -65,6 +64,12 @@ class TestValidation:
             train_dqn_sharded(tiny_experiment, episodes=2, config=actors(0))
         with pytest.raises(ValueError):
             train_dqn_sharded(tiny_experiment, episodes=2, sync_interval=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejects_zero_warmup_epochs(self, tiny_experiment, jobs):
+        cold = replace(tiny_experiment, warmup_epochs=0)
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            train_dqn_sharded(cold, episodes=2, config=actors(jobs), **TRAIN_KWARGS)
 
     def test_resume_rejects_config_overrides(self, tiny_experiment):
         head = train_dqn_sharded(tiny_experiment, episodes=1, **TRAIN_KWARGS)
@@ -145,14 +150,14 @@ class TestActorRollout:
     def test_actor_task_and_rollout_pickle(self, tiny_experiment):
         config = default_experiment_dqn_config(tiny_experiment, **TRAIN_KWARGS)
         agent = DQNAgent(config)
-        task = ActorTask(
+        task = ActorBatchTask(
             experiment=tiny_experiment,
             dqn_config=config,
             network_state=agent.online.get_state(),
-            episode_index=0,
+            episode_indices=(0,),
             steps_per_episode=tiny_experiment.episode_epochs,
         )
-        rollout = run_actor_episode(pickle.loads(pickle.dumps(task)))
+        (rollout,) = run_actor_batch(pickle.loads(pickle.dumps(task)))
         assert rollout.episode_index == 0
         assert len(rollout.transitions["actions"]) == tiny_experiment.episode_epochs
         assert bool(rollout.transitions["dones"][-1]) is True
@@ -162,15 +167,15 @@ class TestActorRollout:
     def test_rollout_is_deterministic_in_episode_index(self, tiny_experiment):
         config = default_experiment_dqn_config(tiny_experiment, **TRAIN_KWARGS)
         agent = DQNAgent(config)
-        task = ActorTask(
+        task = ActorBatchTask(
             experiment=tiny_experiment,
             dqn_config=config,
             network_state=agent.online.get_state(),
-            episode_index=2,
+            episode_indices=(2,),
             steps_per_episode=tiny_experiment.episode_epochs,
         )
-        first = run_actor_episode(task)
-        second = run_actor_episode(task)
+        (first,) = run_actor_batch(task)
+        (second,) = run_actor_batch(task)
         assert first.episode_return == second.episode_return
         np.testing.assert_array_equal(
             first.transitions["states"], second.transitions["states"]
@@ -255,12 +260,12 @@ class TestActorBatching:
         # Batching amortises agent construction; it must not change any
         # rollout relative to the one-task-per-episode path.
         for rollout in rollouts:
-            single = run_actor_episode(
-                ActorTask(
+            (single,) = run_actor_batch(
+                ActorBatchTask(
                     experiment=tiny_experiment,
                     dqn_config=config,
                     network_state=state,
-                    episode_index=rollout.episode_index,
+                    episode_indices=(rollout.episode_index,),
                     steps_per_episode=tiny_experiment.episode_epochs,
                 )
             )

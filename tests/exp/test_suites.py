@@ -29,7 +29,6 @@ from repro.exp.suites import (
     perf_record,
     run_suite,
     run_suite_subtrial,
-    suite_for_artifact,
 )
 from repro.exp.wire import encode_frame, recv_frame
 from repro.noc.network import SimulatorConfig
@@ -143,15 +142,6 @@ class TestRegistryCompleteness:
             assert [unit.name for unit in smoke.units] == [
                 unit.name for unit in spec.units
             ]
-
-    def test_suite_for_artifact_returns_the_full_suite(self):
-        spec = suite_for_artifact("fig1")
-        assert spec.name == "fig1"
-        assert not spec.is_smoke()
-
-    def test_suite_for_unknown_artifact_raises(self):
-        with pytest.raises(KeyError, match="no suite registered"):
-            suite_for_artifact("fig99")
 
     def test_get_unknown_suite_raises_with_known_names(self):
         with pytest.raises(KeyError, match="known:"):

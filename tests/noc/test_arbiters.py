@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.arbiters import PriorityArbiter, RoundRobinArbiter
+from repro.noc.arbiters import RoundRobinArbiter
 
 
 class TestRoundRobinArbiter:
@@ -67,22 +67,3 @@ def test_round_robin_fairness_property(size, rounds, data):
     assert all(grant in persistent for grant in grants)
     counts = {key: grants.count(key) for key in persistent}
     assert max(counts.values()) - min(counts.values()) <= 1
-
-
-class TestPriorityArbiter:
-    def test_earlier_entries_win(self):
-        arbiter = PriorityArbiter(["high", "mid", "low"])
-        assert arbiter.grant(["low", "mid"]) == "mid"
-        assert arbiter.grant(["low", "high"]) == "high"
-
-    def test_empty_requests(self):
-        arbiter = PriorityArbiter(["a"])
-        assert arbiter.grant([]) is None
-
-    def test_unknown_requests_are_ignored(self):
-        arbiter = PriorityArbiter(["a", "b"])
-        assert arbiter.grant(["z"]) is None
-
-    def test_rejects_empty_universe(self):
-        with pytest.raises(ValueError):
-            PriorityArbiter([])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.packet import Flit, FlitType, Packet, reset_packet_ids
+from repro.noc.packet import Flit, FlitType, Packet
 
 
 class TestPacket:
@@ -10,11 +10,6 @@ class TestPacket:
         first = Packet(src=0, dst=1, size=4, creation_cycle=0)
         second = Packet(src=0, dst=1, size=4, creation_cycle=0)
         assert first.packet_id != second.packet_id
-
-    def test_reset_packet_ids(self):
-        reset_packet_ids()
-        packet = Packet(src=0, dst=1, size=1, creation_cycle=0)
-        assert packet.packet_id == 0
 
     def test_rejects_empty_packet(self):
         with pytest.raises(ValueError):

@@ -3,20 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.rl.policies import (
-    ConstantSchedule,
-    EpsilonGreedyPolicy,
-    ExponentialDecaySchedule,
-    LinearDecaySchedule,
-    SoftmaxPolicy,
-)
+from repro.rl.policies import EpsilonGreedyPolicy, LinearDecaySchedule
+
+
+def constant(epsilon: float) -> LinearDecaySchedule:
+    return LinearDecaySchedule(epsilon, epsilon, decay_steps=1)
 
 
 class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.3)
-        assert schedule.value(0) == schedule.value(1000) == 0.3
-
     def test_linear_decay_endpoints(self):
         schedule = LinearDecaySchedule(1.0, 0.1, decay_steps=100)
         assert schedule.value(0) == pytest.approx(1.0)
@@ -28,30 +22,20 @@ class TestSchedules:
         with pytest.raises(ValueError):
             LinearDecaySchedule(1.0, 0.1, decay_steps=0)
 
-    def test_exponential_decay(self):
-        schedule = ExponentialDecaySchedule(1.0, 0.01, decay=0.9)
-        assert schedule.value(0) == pytest.approx(1.0)
-        assert schedule.value(10) == pytest.approx(0.9**10)
-        assert schedule.value(10_000) == pytest.approx(0.01)
-
-    def test_exponential_decay_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialDecaySchedule(1.0, 0.01, decay=0.0)
-
 
 class TestEpsilonGreedy:
     def test_greedy_when_not_exploring(self):
-        policy = EpsilonGreedyPolicy(ConstantSchedule(1.0), seed=0)
+        policy = EpsilonGreedyPolicy(constant(1.0), seed=0)
         q = np.array([0.1, 5.0, -1.0])
         assert all(policy.select(q, explore=False) == 1 for _ in range(10))
 
     def test_zero_epsilon_is_always_greedy(self):
-        policy = EpsilonGreedyPolicy(ConstantSchedule(0.0), seed=0)
+        policy = EpsilonGreedyPolicy(constant(0.0), seed=0)
         q = np.array([0.0, 1.0])
         assert all(policy.select(q) == 1 for _ in range(50))
 
     def test_full_epsilon_explores_all_actions(self):
-        policy = EpsilonGreedyPolicy(ConstantSchedule(1.0), seed=1)
+        policy = EpsilonGreedyPolicy(constant(1.0), seed=1)
         q = np.array([10.0, 0.0, 0.0, 0.0])
         chosen = {policy.select(q) for _ in range(200)}
         assert chosen == {0, 1, 2, 3}
@@ -67,47 +51,9 @@ class TestEpsilonGreedy:
         assert policy.epsilon == pytest.approx(0.5)
 
     def test_rejects_bad_q_values(self):
-        policy = EpsilonGreedyPolicy(ConstantSchedule(0.1))
+        policy = EpsilonGreedyPolicy(constant(0.1))
         with pytest.raises(ValueError):
             policy.select(np.array([]))
         with pytest.raises(ValueError):
             policy.select(np.zeros((2, 2)))
 
-
-class TestSoftmax:
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SoftmaxPolicy(temperature=0.0)
-
-    def test_probabilities_sum_to_one(self):
-        policy = SoftmaxPolicy(temperature=0.5)
-        probabilities = policy.probabilities(np.array([1.0, 2.0, 3.0]))
-        assert probabilities.sum() == pytest.approx(1.0)
-        assert np.all(probabilities > 0)
-
-    def test_low_temperature_approaches_greedy(self):
-        policy = SoftmaxPolicy(temperature=0.01, seed=0)
-        q = np.array([0.0, 1.0, 0.5])
-        selections = [policy.select(q) for _ in range(100)]
-        assert selections.count(1) > 95
-
-    def test_high_temperature_approaches_uniform(self):
-        policy = SoftmaxPolicy(temperature=100.0, seed=1)
-        q = np.array([0.0, 1.0])
-        selections = [policy.select(q) for _ in range(1000)]
-        assert 350 < selections.count(0) < 650
-
-    def test_greedy_when_not_exploring(self):
-        policy = SoftmaxPolicy(temperature=10.0, seed=2)
-        assert policy.select(np.array([0.0, 3.0, 1.0]), explore=False) == 1
-
-    def test_numerical_stability_with_large_values(self):
-        policy = SoftmaxPolicy(temperature=1.0)
-        probabilities = policy.probabilities(np.array([1e6, 1e6 + 1]))
-        assert np.isfinite(probabilities).all()
-        assert probabilities.sum() == pytest.approx(1.0)
-
-    def test_rejects_bad_q_values(self):
-        policy = SoftmaxPolicy()
-        with pytest.raises(ValueError):
-            policy.select(np.array([]))

@@ -4,13 +4,7 @@ import pytest
 
 from repro.noc.topology import Mesh
 from repro.traffic.generator import TrafficGenerator
-from repro.traffic.trace import (
-    TraceRecord,
-    TraceTrafficSource,
-    load_trace,
-    record_trace,
-    save_trace,
-)
+from repro.traffic.trace import TraceRecord, TraceTrafficSource, record_trace
 
 MESH = Mesh(4, 4)
 
@@ -40,20 +34,6 @@ class TestRecordTrace:
         record = TraceRecord(cycle=4, src=1, dst=2, size=3)
         packet = record.to_packet()
         assert (packet.src, packet.dst, packet.size, packet.creation_cycle) == (1, 2, 3, 4)
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        records = make_records()
-        path = tmp_path / "trace.jsonl"
-        save_trace(records, path)
-        assert load_trace(path) == records
-
-    def test_blank_lines_are_ignored(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(make_records(), path)
-        path.write_text(path.read_text() + "\n\n")
-        assert load_trace(path) == make_records()
 
 
 class TestTraceTrafficSource:
