@@ -1,49 +1,37 @@
-"""Command-line interface.
+"""Command-line interface (the ``repro-noc`` script, or ``python -m repro.cli``).
 
-Installed as the ``repro-noc`` console script (or invoked as
-``python -m repro.cli``).  Seven subcommands cover the everyday workflows:
+Every command that simulates runs a suite through
+:func:`repro.exp.run_suite`: ``suite run`` a registered one, the others an
+ad-hoc :class:`~repro.exp.suites.SuiteSpec` they build from their flags.
 
-* ``sweep``     — load/latency characterisation of a mesh (no learning);
-  ``--jobs N`` fans the sweep points out over a process pool;
-* ``scenarios`` — list the named experiment scenarios or run a selection of
-  them (``scenarios list`` / ``scenarios run NAME... --jobs N``);
-  ``sweep`` and ``scenarios run`` each build an ad-hoc suite and run it
-  through :func:`repro.exp.run_suite`, the same engine as ``suite run``;
-* ``suite``     — list, describe, run or diff the registered benchmark
-  suites (one per paper figure/table, plus CI-sized ``-smoke`` variants);
-  ``suite diff A.json B.json`` compares two stored artefacts row by row
-  (all fields, wall clocks excluded) and exits nonzero on any mismatch;
-  ``suite run`` is fault tolerant (``--timeout``
-  / ``--retries`` tune the supervised pool, exit 4 = subtrials failed every
-  attempt) and, with ``--out``, reads the subtrial store there: every
-  subtrial journaled under ``--out`` by any earlier run — of any suite, on
-  the same code — is reused, not recomputed, so rerunning a killed run's
-  command continues it (Ctrl-C exits 130 with the journal flushed);
-* ``train``     — train the DQN self-configuration controller (``--jobs N``
-  shards actor rollouts over a process pool; ``--resume`` continues from a
-  checkpoint) and optionally save a checkpoint;
-* ``evaluate``  — deploy a trained checkpoint or a named baseline on a
-  held-out workload and print its summary;
-* ``compare``   — evaluate the baselines (and optionally a checkpoint) side
-  by side, Table-I style (baselines and presets are the suites' own,
-  :func:`repro.exp.suites.build_policy`/``build_experiment``);
-* ``engines``   — list the registered simulation engines and their
-  capability flags.
+* ``sweep``     — load/latency sweep of a mesh, one subtrial per rate;
+* ``scenarios`` — ``list`` the named scenarios, or ``run NAME...``;
+* ``suite``     — ``list``, ``describe``, ``run`` or ``diff`` the registered
+  suites (one per paper figure/table, plus CI-sized ``-smoke`` variants).
+  ``suite diff A.json B.json`` compares two artefacts row by row (wall
+  clocks excluded) and exits 1 on any mismatch.  ``suite run`` exits 4
+  when a subtrial fails every attempt and, with ``--out``, reuses every
+  subtrial journaled there by an earlier run on the same code, so
+  rerunning a killed run's command continues it (Ctrl-C exits 130);
+* ``train``     — train the DQN controller (``--resume`` continues from a
+  checkpoint), then evaluate it on held-out traffic as one ``eval`` unit;
+* ``evaluate``  — one ``eval`` unit: a checkpoint directory (shown as
+  ``drl[<path>]``) or a named baseline;
+* ``compare``   — one ``eval`` unit per baseline (and optional checkpoint),
+  Table-I style;
+* ``engines``   — list the registered simulation engines.
 
-Execution flags are shared: ``sweep``, ``scenarios run``, ``suite run``
-and ``train`` all accept the same
-``--jobs/--engine/--timeout/--retries/--telemetry`` group (one argparse
-parent; ``suite run`` and ``train``, which train a controller, add
-``--train-jobs``), mapping 1:1 onto
-:class:`repro.exp.execution.ExecutionConfig` via
-:func:`execution_config_from_args`.  ``--engine cycle|event`` selects the
-pluggable execution backends of :mod:`repro.engines`; simulated outcomes
-are byte-identical across exact engines, so the flag is purely a perf
-choice (``--engine flow`` is approximate; see ``engines list``).
-``--telemetry PATH`` streams the suite engine's live ``subtrial`` and
-``perf`` rows (CSV when the path ends in ``.csv``, JSONL otherwise).
-Speed itself is measured by the perf ledger (``benchmarks/ledger/``), not
-by this CLI.
+All but ``engines`` and ``suite list/describe/diff`` share one argparse
+parent, ``--jobs/--engine/--timeout/--retries/--telemetry``, mapping 1:1
+onto :class:`repro.exp.execution.ExecutionConfig` via
+:func:`execution_config_from_args`; ``suite run`` and ``train`` add
+``--train-jobs`` (``train`` reads ``--jobs`` as its synonym).  Simulated
+outcomes are byte-identical across ``--jobs`` values and exact engines
+(``--engine flow`` is approximate; see ``engines list``).  ``--telemetry
+PATH`` streams the suite engine's ``subtrial`` and ``perf`` rows (CSV for
+``.csv``, else JSONL); ``scenarios run``, ``evaluate`` and ``compare``
+take ``--json PATH`` for the suite artefact.  Speed is measured by the
+perf ledger (``benchmarks/ledger/``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -52,11 +40,12 @@ import argparse
 import difflib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import format_series, format_table, summarize_trace
-from repro.core import ExperimentConfig, checkpoint, evaluate_controller
+from repro.analysis import format_series, format_table
+from repro.core import checkpoint
 from repro.exp import (
     TrialExecutionError,
     all_scenarios,
@@ -76,17 +65,18 @@ from repro.exp.execution import ExecutionConfig, SupervisionPolicy
 from repro.exp.suites import (
     APPROX_DIFF_IGNORED_KEYS,
     APPROX_DIFF_TOLERANCES,
+    BASELINE_POLICIES,
     DIFF_IGNORED_KEYS,
     SuiteOutcome,
     SuiteSpec,
     SuiteUnit,
+    agent_payload_of,
     build_experiment,
-    build_policy,
     diff_payloads,
 )
 from repro.exp.telemetry import TelemetrySink
 
-BASELINE_NAMES = ("static-max", "static-min", "heuristic", "random")
+PRESETS = ("default", "small", "joint")
 
 
 def _positive_int(value: str) -> int:
@@ -135,25 +125,23 @@ def _check_names(kind: str, names: Sequence[str], known: Sequence[str]) -> bool:
     return True
 
 
-def _write_json(path: str, payload) -> None:
-    """Write a JSON artefact, creating parent directories as needed."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+def _check_engine(args: argparse.Namespace) -> bool:
+    """True when ``--engine`` is unset or a selectable engine."""
+    return args.engine is None or _check_names(
+        "engine", [args.engine], selectable_engine_names()
+    )
 
 
 def _execution_parent(*, train_jobs: bool) -> argparse.ArgumentParser:
     """The shared execution-flag group (argparse parent).
 
-    ``sweep``, ``scenarios run``, ``suite run`` and ``train`` all inherit
-    these flags, so execution knobs parse identically everywhere and map
-    1:1 onto :class:`~repro.exp.execution.ExecutionConfig` (see
+    Every simulating command inherits these flags, so execution knobs parse
+    identically everywhere and map 1:1 onto
+    :class:`~repro.exp.execution.ExecutionConfig` (see
     :func:`execution_config_from_args`).  ``train_jobs`` adds
     ``--train-jobs`` for the commands that train a controller.  Defaults
     are ``None`` so commands can tell "left alone" from "explicitly set"
-    (e.g. ``train`` treats ``--jobs`` as a synonym for ``--train-jobs``).
+    (``train`` treats ``--jobs`` as a synonym for ``--train-jobs``).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group(
@@ -232,6 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     execution = _execution_parent(train_jobs=False)
     training_execution = _execution_parent(train_jobs=True)
+    artefact = argparse.ArgumentParser(add_help=False)
+    artefact.add_argument(
+        "--json",
+        dest="json_path",
+        help="also write the run's suite artefact to this file (compare two with `suite diff`)",
+    )
+    evaluation = argparse.ArgumentParser(add_help=False, parents=[execution, artefact])
+    evaluation.add_argument("--preset", choices=PRESETS, default="default")
+    evaluation.add_argument(
+        "--epochs", type=_positive_int, help="epochs to evaluate (default: one episode)"
+    )
 
     sweep = subparsers.add_parser(
         "sweep", help="load/latency sweep of a mesh", parents=[execution]
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios_run = scenarios_sub.add_parser(
         "run",
         help="run one or more scenarios (optionally in parallel)",
-        parents=[execution],
+        parents=[execution, artefact],
     )
     scenarios_run.add_argument(
         "names",
@@ -274,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios_run.add_argument(
         "--epoch-cycles", type=_positive_int, default=None, help="override cycles per epoch"
-    )
-    scenarios_run.add_argument(
-        "--json",
-        dest="json_path",
-        help="also write the run's suite artefact to this file (compare two "
-        "with `suite diff`)",
     )
 
     suite = subparsers.add_parser(
@@ -365,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="train the DQN controller", parents=[training_execution]
     )
     train.add_argument("--episodes", type=_positive_int, default=20)
-    train.add_argument("--preset", choices=("default", "small", "joint"), default="default")
+    train.add_argument("--preset", choices=PRESETS, default="default")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--checkpoint", help="directory to save the trained controller to")
     train.add_argument(
@@ -387,48 +380,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     evaluate = subparsers.add_parser(
-        "evaluate", help="evaluate a checkpoint or a named baseline"
+        "evaluate",
+        help="evaluate a checkpoint or a named baseline",
+        parents=[evaluation],
     )
     evaluate.add_argument(
         "controller",
-        help=f"checkpoint directory or one of: {', '.join(BASELINE_NAMES)}",
+        help=f"checkpoint directory or one of: {', '.join(BASELINE_POLICIES)}",
     )
-    evaluate.add_argument("--preset", choices=("default", "small", "joint"), default="default")
-    evaluate.add_argument("--epochs", type=int, default=None)
 
-    compare = subparsers.add_parser("compare", help="compare baselines (and a checkpoint)")
+    compare = subparsers.add_parser(
+        "compare", help="compare baselines (and a checkpoint)", parents=[evaluation]
+    )
     compare.add_argument("--checkpoint", help="optional trained controller to include")
-    compare.add_argument("--preset", choices=("default", "small", "joint"), default="default")
-    compare.add_argument("--epochs", type=int, default=None)
 
     return parser
 
 
-def _resolve_policy(controller: str, experiment: ExperimentConfig):
-    if controller in BASELINE_NAMES:
-        return build_policy(controller, experiment)
-    restored = checkpoint.load_dqn_checkpoint(controller)
-    return restored.to_policy(name=f"drl[{controller}]")
+def _run_adhoc_suite(
+    name: str,
+    units: Sequence[SuiteUnit],
+    args: argparse.Namespace,
+    config: ExecutionConfig | None = None,
+) -> SuiteOutcome:
+    """Run ``units`` as an in-memory suite under the shared execution flags.
 
-
-def _run_adhoc_suite(spec: SuiteSpec, args: argparse.Namespace) -> SuiteOutcome:
-    """Run an in-memory suite under the shared execution flags.
-
-    ``sweep`` and ``scenarios run`` go through :func:`run_suite` exactly
-    like a registered suite, so ``--telemetry`` streams its ``subtrial``
-    and ``perf`` rows.
+    Every simulating command but ``suite run`` goes through
+    :func:`run_suite` exactly like a registered suite, so ``--telemetry``
+    streams its ``subtrial`` and ``perf`` rows and ``--json`` (where the
+    command has it) writes its suite artefact.
     """
-    config = execution_config_from_args(args)
+    spec = SuiteSpec(name=name, description=f"ad-hoc {name}", units=tuple(units))
+    config = config or execution_config_from_args(args)
     if not args.telemetry:
-        return run_suite(spec, config=config)
-    with TelemetrySink(args.telemetry) as sink:
-        outcome = run_suite(spec, config=config, telemetry=sink)
-    print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
+        outcome = run_suite(spec, config=config)
+    else:
+        with TelemetrySink(args.telemetry) as sink:
+            outcome = run_suite(spec, config=config, telemetry=sink)
+        print(f"telemetry: {sink.rows_written} row(s) -> {sink.path}")
+    json_path = getattr(args, "json_path", None)
+    if json_path:
+        Path(json_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(json_path).write_text(json.dumps(outcome.to_payload(), indent=2), encoding="utf-8")
+        print(f"suite artefact written to {json_path}")
     return outcome
 
 
+def _controller_units(
+    controllers: Sequence[str], args: argparse.Namespace
+) -> list[SuiteUnit] | None:
+    """One ``eval`` unit per controller: a baseline by name, else a checkpoint
+    directory deployed as ``drl[<path>]`` with its weights in the unit.
+
+    ``None``, after the did-you-mean diagnostic, for a name that is neither
+    (or an unknown ``--engine``).
+    """
+    unknown = [c for c in controllers if c not in BASELINE_POLICIES and not Path(c).is_dir()]
+    if not _check_engine(args) or not _check_names("controller", unknown, BASELINE_POLICIES):
+        return None
+    units = []
+    for name in controllers:
+        params = {"preset": args.preset, "num_epochs": args.epochs, "policy": name}
+        if name not in BASELINE_POLICIES:
+            restored = checkpoint.load_dqn_checkpoint(name)
+            params.update(policy="drl", agent=agent_payload_of(restored))
+            name = f"drl[{name}]"
+        units.append(SuiteUnit(name, "eval", params))
+    return units
+
+
+def _summary_rows(outcome: SuiteOutcome) -> list[dict]:
+    """One row per ``eval`` unit, its ``policy`` the unit name (``drl[<path>]``
+    for a checkpoint)."""
+    return [{**unit["summary"], "policy": unit["unit"]} for unit in outcome.units]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not _check_names("engine", [args.engine or "cycle"], selectable_engine_names()):
+    if not _check_engine(args):
         return 2
     params = {
         "width": args.width,
@@ -438,12 +466,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "measure_cycles": args.cycles,
         "dvfs_level": args.dvfs_level,
     }
-    spec = SuiteSpec(
-        name="sweep",
-        description="ad-hoc load/latency sweep",
-        units=(SuiteUnit("sweep", "sweep", params),),
-    )
-    rows = _run_adhoc_suite(spec, args).rows("sweep")
+    rows = _run_adhoc_suite("sweep", [SuiteUnit("sweep", "sweep", params)], args).rows("sweep")
     print(
         format_series(
             "offered_load",
@@ -479,38 +502,27 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
     # Suite unit names must be unique; a repeated name re-ran the same seeds.
     names = list(dict.fromkeys(args.names)) or list(scenario_names())
-    if not _check_names("scenario", names, scenario_names()):
+    if not _check_names("scenario", names, scenario_names()) or not _check_engine(args):
         return 2
-    if args.engine is not None and not _check_names(
-        "engine", [args.engine], selectable_engine_names()
-    ):
-        return 2
-    spec = SuiteSpec(
-        name="scenarios",
-        description="ad-hoc scenario run",
-        units=tuple(
-            SuiteUnit(
-                name,
-                "scenario",
-                {
-                    "scenario": name,
-                    "seed": args.seed,
-                    "repeats": args.repeats,
-                    "epochs": args.epochs,
-                    "epoch_cycles": args.epoch_cycles,
-                    # A spec's own engine applies unless --engine is given.
-                    "engine": args.engine or get_scenario(name).engine,
-                },
-            )
-            for name in names
-        ),
-    )
-    outcome = _run_adhoc_suite(spec, args)
+    units = [
+        SuiteUnit(
+            name,
+            "scenario",
+            {
+                "scenario": name,
+                "seed": args.seed,
+                "repeats": args.repeats,
+                "epochs": args.epochs,
+                "epoch_cycles": args.epoch_cycles,
+                # A spec's own engine applies unless --engine is given.
+                "engine": args.engine or get_scenario(name).engine,
+            },
+        )
+        for name in names
+    ]
+    outcome = _run_adhoc_suite("scenarios", units, args)
     rows = [row for unit in outcome.units for row in unit["rows"]]
     print(format_table(rows, title="Scenario runs"))
-    if args.json_path:
-        _write_json(args.json_path, outcome.to_payload())
-        print(f"suite artefact written to {args.json_path}")
     return 0
 
 
@@ -609,9 +621,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         names = [
             name if name.endswith("-smoke") else f"{name}-smoke" for name in names
         ]
-    if not _check_names("suite", names, suite_names()):
-        return 2
-    if not _check_names("engine", [args.engine or "cycle"], selectable_engine_names()):
+    if not _check_names("suite", names, suite_names()) or not _check_engine(args):
         return 2
     chaos = None
     if args.chaos:
@@ -667,22 +677,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.engine is not None and not _check_names(
-        "engine", [args.engine], selectable_engine_names()
-    ):
+    if not _check_engine(args):
         return 2
     experiment = build_experiment({"preset": args.preset, "engine": args.engine})
     # --jobs is a synonym for --train-jobs here: train's processes ARE the
     # actor shards (an explicit --train-jobs wins when both are given).
-    train_jobs = args.train_jobs or args.jobs or 1
-    supervision_knobs: dict = {}
-    if args.timeout is not None:
-        supervision_knobs["timeout_s"] = args.timeout
-    if args.retries is not None:
-        supervision_knobs["max_retries"] = args.retries
-    exec_config = ExecutionConfig(
-        train_jobs=train_jobs, supervision=SupervisionPolicy(**supervision_knobs)
-    )
+    jobs = args.train_jobs or args.jobs or 1
+    exec_config = replace(execution_config_from_args(args), train_jobs=jobs)
     if args.resume:
         restored = checkpoint.load_dqn_checkpoint(args.resume)
         expected = default_experiment_dqn_config(experiment)
@@ -702,34 +703,30 @@ def cmd_train(args: argparse.Namespace) -> int:
             return 2
         print(
             f"Resuming DQN training from {args.resume} ({restored.episodes} episodes "
-            f"trained) to {args.episodes} episodes with jobs={train_jobs} ..."
+            f"trained) to {args.episodes} episodes with jobs={jobs} ..."
         )
         print(
             "  (hyperparameters, including the epsilon schedule, come from the "
             "checkpoint; --seed and fresh-train defaults are ignored)"
         )
-        result = train_dqn_sharded(
-            experiment,
-            episodes=args.episodes,
-            config=exec_config,
-            sync_interval=args.sync_interval,
-            episodes_per_task=args.episodes_per_task,
-            resume_from=restored,
-        )
+        start = {"resume_from": restored}
     else:
         print(
             f"Training DQN controller: {args.episodes} episodes on preset "
-            f"'{args.preset}' with jobs={train_jobs} ..."
+            f"'{args.preset}' with jobs={jobs} ..."
         )
-        result = train_dqn_sharded(
-            experiment,
-            episodes=args.episodes,
-            config=exec_config,
-            sync_interval=args.sync_interval,
-            episodes_per_task=args.episodes_per_task,
-            epsilon_decay_steps=max(args.episodes * experiment.episode_epochs // 2, 50),
-            seed=args.seed,
-        )
+        start = {
+            "epsilon_decay_steps": max(args.episodes * experiment.episode_epochs // 2, 50),
+            "seed": args.seed,
+        }
+    result = train_dqn_sharded(
+        experiment,
+        episodes=args.episodes,
+        config=exec_config,
+        sync_interval=args.sync_interval,
+        episodes_per_task=args.episodes_per_task,
+        **start,
+    )
     print(f"  first episode return: {result.episode_returns[0]:.1f}")
     print(f"  final episode return: {result.final_return:.1f}")
     episodes_per_s = (
@@ -741,30 +738,31 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.checkpoint:
         path = checkpoint.save_dqn_checkpoint(result, args.checkpoint)
         print(f"  checkpoint saved to {path}")
-    trace = evaluate_controller(experiment, result.to_policy())
-    print(format_table([summarize_trace(trace)], title="Held-out evaluation"))
+    held_out = {"policy": "drl", "preset": args.preset, "agent": agent_payload_of(result)}
+    outcome = _run_adhoc_suite("train", [SuiteUnit("drl", "eval", held_out)], args, exec_config)
+    print(format_table(_summary_rows(outcome), title="Held-out evaluation"))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    experiment = build_experiment({"preset": args.preset})
-    policy = _resolve_policy(args.controller, experiment)
-    trace = evaluate_controller(experiment, policy, num_epochs=args.epochs)
-    print(format_table([summarize_trace(trace)], title=f"Evaluation — {policy.name}"))
-    print(f"DVFS level trace: {trace.dvfs_level_trace}")
+    units = _controller_units([args.controller], args)
+    if units is None:
+        return 2
+    outcome = _run_adhoc_suite("evaluate", units, args)
+    [row] = _summary_rows(outcome)
+    print(format_table([row], title=f"Evaluation — {row['policy']}"))
+    levels = [epoch["dvfs_level"] for epoch in outcome.units[0]["rows"]]
+    print(f"DVFS level trace: {levels}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    experiment = build_experiment({"preset": args.preset})
-    policies = [build_policy(name, experiment) for name in BASELINE_NAMES]
-    if args.checkpoint:
-        policies.insert(0, _resolve_policy(args.checkpoint, experiment))
-    rows = []
-    for policy in policies:
-        trace = evaluate_controller(experiment, policy, num_epochs=args.epochs)
-        rows.append(summarize_trace(trace))
-    print(format_table(rows, title="Controller comparison"))
+    checkpoints = [args.checkpoint] if args.checkpoint else []
+    units = _controller_units([*checkpoints, *BASELINE_POLICIES], args)
+    if units is None:
+        return 2
+    outcome = _run_adhoc_suite("compare", units, args)
+    print(format_table(_summary_rows(outcome), title="Controller comparison"))
     return 0
 
 

@@ -191,6 +191,6 @@ def evaluate_controller(
     It warms up for the experiment's ``warmup_epochs`` and then records
     ``num_epochs`` epochs (default: the experiment's ``episode_epochs``).
     """
-    if num_epochs:
+    if num_epochs is not None:
         experiment = replace(experiment, episode_epochs=num_epochs)
     return run_policy(experiment.build_environment(seed_offset=seed_offset), policy)

@@ -123,10 +123,12 @@ class SuiteUnit:
       (memoized across suites) and reports the episode curve.
     * ``train-eval`` — ``agent`` (ablation variant), ``episodes``, ``seed``;
       trains that variant in a worker and evaluates it.
-    * ``eval`` — ``policy`` (``drl``, ``static-max``, ``static-min``,
-      ``heuristic``, ``random`` or ``static-L<n>``), optional ``traffic``
-      (``{"pattern", "rate", "kwargs"}``), ``width``, ``num_epochs``;
-      deploys the policy on a fresh experiment in a worker.
+    * ``eval`` — ``policy`` (``drl``, one of :data:`BASELINE_POLICIES` or
+      ``static-L<n>``), optional ``traffic`` (``{"pattern", "rate",
+      "kwargs"}``), ``width``, ``num_epochs``; deploys the policy on a
+      fresh experiment in a worker.  A ``drl`` unit deploys the suite's
+      shared controller unless it carries its own ``agent`` payload
+      (:func:`agent_payload_of` a checkpoint or a fresh training).
     """
 
     name: str
@@ -195,7 +197,11 @@ class SuiteSpec:
     def needs_training(self) -> bool:
         return any(
             unit.kind == "train"
-            or (unit.kind == "eval" and unit.params.get("policy") == "drl")
+            or (
+                unit.kind == "eval"
+                and unit.params.get("policy") == "drl"
+                and "agent" not in unit.params
+            )
             for unit in self.units
         )
 
@@ -266,6 +272,11 @@ def build_experiment(params: Mapping) -> ExperimentConfig:
     return experiment
 
 
+#: The untrained baselines every controller table deploys beside ``drl``,
+#: in table order.
+BASELINE_POLICIES = ("static-max", "static-min", "heuristic", "random")
+
+
 def build_policy(
     name: str, experiment: ExperimentConfig, agent_payload: Mapping | None = None
 ):
@@ -317,7 +328,7 @@ def train_controller(training: Mapping, *, jobs: int = 1) -> TrainingResult:
     return _TRAINING_CACHE[key]
 
 
-def _agent_payload(result: TrainingResult) -> dict:
+def agent_payload_of(result: TrainingResult) -> dict:
     """The picklable snapshot eval workers rebuild the greedy policy from."""
     agent = result.agent
     return {"dqn_config": agent.config, "state": agent.get_state()}
@@ -562,10 +573,9 @@ def _eval_payload(trace, wall_s: float) -> dict:
 def _run_eval(params: Mapping) -> dict:
     experiment = build_experiment(params)
     policy = build_policy(params["policy"], experiment, params.get("agent"))
-    num_epochs = params.get("num_epochs")
     start = time.perf_counter()
     trace = evaluate_controller(
-        experiment, policy, num_epochs=int(num_epochs) if num_epochs else None
+        experiment, policy, num_epochs=params.get("num_epochs")
     )
     return _eval_payload(trace, time.perf_counter() - start)
 
@@ -691,7 +701,7 @@ def expand_unit(
         ]
     if unit.kind == "eval":
         if params.get("policy") == "drl":
-            params["agent"] = agent_payload
+            params.setdefault("agent", agent_payload)
         return [Subtrial("eval", params)]
     if unit.kind == "train-eval":
         return [Subtrial("train-eval", params)]
@@ -847,7 +857,7 @@ def run_suite(
     agent_payload = None
     if spec.needs_training():
         training_result = train_controller(spec.training, jobs=config.train_jobs)
-        agent_payload = _agent_payload(training_result)
+        agent_payload = agent_payload_of(training_result)
 
     parent_payloads: dict[int, tuple[dict, float]] = {}
     tagged: list[tuple[int, Subtrial]] = []  # (unit index, subtrial)
@@ -1350,15 +1360,7 @@ def _seed_registry() -> None:
                 "static DVFS ladder) lands in the latency-energy plane"
             ),
             units=_phased_eval_units(
-                (
-                    "drl",
-                    "static-max",
-                    "static-min",
-                    "heuristic",
-                    "random",
-                    "static-L1",
-                    "static-L2",
-                )
+                ("drl", *BASELINE_POLICIES, "static-L1", "static-L2")
             ),
             training=dict(MAIN_TRAINING),
         )
@@ -1373,7 +1375,7 @@ def _seed_registry() -> None:
             "kwargs": {"hotspot_fraction": 0.15},
         },
     }
-    table1_policies = ("drl", "static-max", "static-min", "heuristic", "random")
+    table1_policies = ("drl", *BASELINE_POLICIES)
     register_suite(
         SuiteSpec(
             name="table1",
@@ -1404,9 +1406,7 @@ def _seed_registry() -> None:
                 "Energy savings and latency overhead of the adaptive "
                 "controllers relative to always-max-frequency"
             ),
-            units=_phased_eval_units(
-                ("drl", "static-max", "static-min", "heuristic", "random")
-            ),
+            units=_phased_eval_units(("drl", *BASELINE_POLICIES)),
             training=dict(MAIN_TRAINING),
         )
     )

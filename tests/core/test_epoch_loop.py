@@ -280,6 +280,11 @@ class TestController:
         assert trace == reference
         assert len(trace) == 6
 
+    def test_evaluate_rejects_zero_epochs(self):
+        # Only None means "the whole episode"; 0 raises instead of running it.
+        with pytest.raises(ValueError, match="episode_epochs"):
+            evaluate_controller(EXPERIMENT, build_policy("static-max", EXPERIMENT), 0)
+
     def test_evaluate_honours_the_experiments_warmup(self):
         policy = ThresholdDvfsPolicy(4)
         cold = evaluate_controller(replace(EXPERIMENT, warmup_epochs=0), policy)

@@ -471,13 +471,25 @@ class TestTrainController:
         result = suites.train_controller(dict(self.TINY), jobs=1)
         experiment = suites.build_experiment(self.TINY)
         policy = suites.build_policy(
-            "drl", experiment, suites._agent_payload(result)
+            "drl", experiment, suites.agent_payload_of(result)
         )
         import numpy as np
 
         observation = np.zeros(experiment.build_feature_extractor().dim)
         action = policy.select_action(observation, None)
         assert action == result.to_policy().select_action(observation, None)
+
+    def test_a_drl_unit_carrying_its_agent_needs_no_training(self):
+        # evaluate/compare/train ship a checkpoint's or a fresh training's
+        # weights in the unit; the suite's shared agent only fills the gap.
+        agent = suites.agent_payload_of(suites.train_controller(dict(self.TINY), jobs=1))
+        unit = SuiteUnit("drl[ckpt]", "eval", {"policy": "drl", "agent": agent})
+        spec = SuiteSpec(name="x", description="", units=(unit,))
+        assert not spec.needs_training()
+        [own] = expand_unit(unit, {"dqn_config": None, "state": None})
+        assert own.params["agent"] is agent
+        [shared] = expand_unit(SuiteUnit("drl", "eval", {"policy": "drl"}), agent)
+        assert shared.params["agent"] is agent
 
 
 class TestBuildPolicy:

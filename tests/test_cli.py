@@ -71,6 +71,8 @@ class TestParser:
             ["sweep", "--rates", "0.05", "--cycles", "100"],
             ["scenarios", "run", "uniform", "--epochs", "1", "--epoch-cycles", "50"],
             ["train", "--preset", "small", "--episodes", "1"],
+            ["evaluate", "static-max", "--preset", "small", "--epochs", "1"],
+            ["compare", "--preset", "small", "--epochs", "1"],
         ],
     )
     def test_engine_auto_is_rejected_on_every_runner(self, argv, capsys):
@@ -322,7 +324,10 @@ class TestEvaluateAndCompareCommands:
             ["evaluate", str(path), "--preset", "small", "--epochs", "2"]
         )
         assert exit_code == 0
-        assert "drl[" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # The display name rides the unit name: title and row both show it.
+        assert lines[0] == f"Evaluation — drl[{path}]"
+        assert lines[3].startswith(f"drl[{path}] | 2 ")
 
     def test_evaluate_random_is_the_suites_random_controller(self, capsys):
         # evaluate/compare build baselines and presets through the suite
@@ -334,6 +339,56 @@ class TestEvaluateAndCompareCommands:
         assert cli.main(["evaluate", "random", "--preset", "small", "--epochs", "4"]) == 0
         table = format_table([expected], title=f"Evaluation — {policy.name}")
         assert table in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["static-max", "static-min", "heuristic", "random"])
+    def test_evaluate_prints_the_controllers_own_trace(self, name, capsys):
+        # evaluate is one ad-hoc eval unit through run_suite; its stdout is
+        # the table of a direct evaluate_controller run, byte for byte.
+        experiment = build_experiment({"preset": "small"})
+        trace = evaluate_controller(experiment, build_policy(name, experiment), 3)
+        assert cli.main(["evaluate", name, "--preset", "small", "--epochs", "3"]) == 0
+        assert capsys.readouterr().out == (
+            format_table([summarize_trace(trace)], title=f"Evaluation — {name}")
+            + f"\nDVFS level trace: {trace.dvfs_level_trace}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "static-mx"], "did you mean: static-max?"),
+            (["compare", "--checkpoint", "/no/such/checkpoint"], "/no/such/checkpoint"),
+        ],
+    )
+    def test_unknown_controller_exits_two(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown controller" in err and message in err
+        assert "known: static-max, static-min, heuristic, random" in err
+
+    @pytest.mark.parametrize("command", [["evaluate", "static-max"], ["compare"]])
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_epochs_must_be_positive(self, command, epochs):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--epochs", epochs])
+        assert exit_info.value.code == 2
+
+    def test_compare_output_does_not_depend_on_jobs(self, capsys):
+        argv = ["compare", "--preset", "small", "--epochs", "2"]
+        outputs = []
+        for jobs in ("1", "2"):
+            assert cli.main([*argv, "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(" | 2 ") == 4  # one row per baseline
+
+    def test_compare_json_artefacts_diff_identical(self, capsys, tmp_path):
+        paths = [str(tmp_path / f"compare-{run}.json") for run in (1, 2)]
+        for path in paths:
+            argv = ["compare", "--preset", "small", "--epochs", "2", "--json", path]
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["suite", "diff", *paths]) == 0
+        assert "identical" in capsys.readouterr().out
 
     def test_compare_lists_all_baselines(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -419,6 +474,27 @@ class TestTrainCommand:
         )
         assert exit_code == 2
         assert "does not fit preset" in capsys.readouterr().err
+
+    def test_train_streams_the_held_out_evals_rows(self, capsys, tmp_path, monkeypatch):
+        from repro.exp.telemetry import read_telemetry
+
+        monkeypatch.setattr(
+            ExperimentConfig,
+            "small",
+            classmethod(lambda cls, **kw: ExperimentConfig(
+                traffic=TrafficSpec.synthetic("uniform", 0.1),
+                epoch_cycles=150,
+                episode_epochs=3,
+            )),
+        )
+        tap = tmp_path / "train.jsonl"
+        argv = ["train", "--preset", "small", "--episodes", "1", "--telemetry", str(tap)]
+        assert cli.main(argv) == 0
+        assert "telemetry: 2 row(s)" in capsys.readouterr().out
+        rows = read_telemetry(tap)
+        assert [row["source"] for row in rows] == ["subtrial", "perf"]
+        assert all(row["suite"] == "train" and row["kind"] == "eval" for row in rows)
+        assert rows[0]["cycles"] == 3 * 150
 
 
 class TestTelemetryFlag:
